@@ -1,8 +1,6 @@
 #include "join/cross_join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "join/search.h"
 #include "obs/metrics.h"
@@ -26,9 +24,7 @@ Result<CrossJoinResult> SimilarityJoin(
       right_indexed ? right : left;
   const std::vector<UncertainString>& probes = right_indexed ? left : right;
 
-  obs::Recorder* const run_metrics = options.metrics;
   obs::TraceRecorder* const trace = options.trace;
-
   const int64_t build_span_start = trace != nullptr ? trace->NowNs() : 0;
   ScopedTimer build_timer(&result.stats.index_build_time);
   Result<SimilaritySearcher> searcher =
@@ -40,95 +36,24 @@ Result<CrossJoinResult> SimilarityJoin(
   }
   if (!searcher.ok()) return searcher.status();
 
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads,
-                     static_cast<int>(std::max<size_t>(probes.size(), 1)));
-
-  struct ProbeOutcome {
-    Status status;
-    std::vector<SearchHit> hits;
-    JoinStats stats;
-    obs::SpanCollector spans;  // probe-private trace spans (empty when off)
-  };
-  std::vector<ProbeOutcome> outcomes(probes.size());
-  // Probe-private recorders, folded into the run sink in probe order below
-  // — same determinism contract as the stats fold.
-  std::vector<obs::Recorder> probe_metrics(
-      run_metrics != nullptr ? probes.size() : 0);
-  // One query workspace per worker thread: probes reuse its buffers so the
-  // steady-state candidate-generation stage does not allocate.
-  std::vector<QueryWorkspace> workspaces(static_cast<size_t>(threads));
-  auto run_probe = [&](int worker, size_t probe_id) {
-    ProbeOutcome& outcome = outcomes[probe_id];
-    obs::Recorder* const rec =
-        run_metrics != nullptr ? &probe_metrics[probe_id] : nullptr;
-    obs::SpanCollector* span_sink = nullptr;
-    // Probe-span sampling: keep/drop depends only on the sampling config and
-    // the probe index, so sampled traces are thread-count invariant.
-    if (trace != nullptr &&
-        trace->SampleProbe(static_cast<int64_t>(probe_id))) {
-      outcome.spans =
-          obs::SpanCollector(trace, static_cast<uint32_t>(worker) + 1);
-      span_sink = &outcome.spans;
-    }
-    Result<std::vector<SearchHit>> hits =
-        searcher->Search(probes[probe_id], &outcome.stats,
-                         &workspaces[static_cast<size_t>(worker)], rec,
-                         span_sink);
-    if (hits.ok()) {
-      outcome.hits = std::move(hits).value();
-    } else {
-      outcome.status = hits.status();
-    }
-  };
-
-  if (threads == 1) {
-    for (size_t probe_id = 0; probe_id < probes.size(); ++probe_id) {
-      run_probe(0, probe_id);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t]() {
-        for (;;) {
-          const size_t probe_id = next.fetch_add(1);
-          if (probe_id >= probes.size()) return;
-          run_probe(t, probe_id);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-
-  for (size_t probe_id = 0; probe_id < probes.size(); ++probe_id) {
-    const ProbeOutcome& outcome = outcomes[probe_id];
-    if (!outcome.status.ok()) return outcome.status;
-    for (const SearchHit& hit : outcome.hits) {
+  // Every probe is one search of the frozen index: SearchMany runs the
+  // probes on options.threads workers and folds their stats, metrics and
+  // spans (the Create-time sinks) in probe order.
+  Result<std::vector<std::vector<SearchHit>>> hits =
+      searcher->SearchMany(probes, options.threads, &result.stats);
+  if (!hits.ok()) return hits.status();
+  for (size_t probe_id = 0; probe_id < hits->size(); ++probe_id) {
+    for (const SearchHit& hit : (*hits)[probe_id]) {
       const uint32_t lhs =
           right_indexed ? static_cast<uint32_t>(probe_id) : hit.id;
       const uint32_t rhs =
           right_indexed ? hit.id : static_cast<uint32_t>(probe_id);
       result.pairs.push_back(JoinPair{lhs, rhs, hit.probability, hit.exact});
     }
-    result.stats.Merge(outcome.stats);
-    if (run_metrics != nullptr) run_metrics->Merge(probe_metrics[probe_id]);
-    if (trace != nullptr) {
-      trace->NoteProbe(outcome.spans.enabled());
-      trace->Append(outcome.spans.events());
-    }
   }
   result.stats.peak_index_memory = searcher->IndexMemoryUsage();
-  UJOIN_OBS_GAUGE(run_metrics, obs::Gauge::kThreads, threads);
-  UJOIN_OBS_GAUGE(run_metrics, obs::Gauge::kCollectionSize,
+  UJOIN_OBS_GAUGE(options.metrics, obs::Gauge::kCollectionSize,
                   static_cast<int64_t>(indexed.size() + probes.size()));
-  UJOIN_OBS_GAUGE(run_metrics, obs::Gauge::kPeakIndexMemoryBytes,
-                  static_cast<int64_t>(result.stats.peak_index_memory));
   std::sort(result.pairs.begin(), result.pairs.end());
   if (options.progress_fn != nullptr) {
     options.progress_fn(

@@ -17,9 +17,13 @@ struct CrossJoinResult {
 /// statement before its WLOG reduction to the self-join): all pairs
 /// (R, S) ∈ left × right with Pr(ed(R, S) <= k) > τ.
 ///
-/// The smaller collection is indexed once (inverted segment index plus
-/// frequency summaries) and each string of the other collection probes it
-/// through the same filter cascade as the self-join.
+/// The smaller collection is indexed once by SimilaritySearcher::Create and
+/// the other collection's strings probe it through SearchMany, whose
+/// queries run the same filter-and-verify cascade as the self-join
+/// (join/probe_cascade.h).  The two drivers share that cascade but not the
+/// driver code — candidate generation, scheduling and folding differ — so
+/// self_cross_differential_test.cc can check one against the other;
+/// ExhaustiveSelfJoin stays the independent, filter-free reference.
 Result<CrossJoinResult> SimilarityJoin(
     const std::vector<UncertainString>& left,
     const std::vector<UncertainString>& right, const Alphabet& alphabet,

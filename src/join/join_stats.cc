@@ -4,6 +4,8 @@
 #include <cstdio>
 
 #include "obs/json_writer.h"
+#include "obs/query_log.h"
+#include "util/math_util.h"
 
 namespace ujoin {
 
@@ -20,6 +22,8 @@ void JoinStats::Merge(const JoinStats& other) {
   cdf_undecided += other.cdf_undecided;
   verified_pairs += other.verified_pairs;
   result_pairs += other.result_pairs;
+  verified_hits += other.verified_hits;
+  verify_worlds = SaturatingAdd(verify_worlds, other.verify_worlds);
   budget_fallbacks += other.budget_fallbacks;
   deadline_fallbacks += other.deadline_fallbacks;
 
@@ -33,6 +37,48 @@ void JoinStats::Merge(const JoinStats& other) {
   peak_index_memory = std::max(peak_index_memory, other.peak_index_memory);
   index_stats.Merge(other.index_stats);
   verify_stats.Merge(other.verify_stats);
+}
+
+std::array<JoinStats::FunnelEdge, obs::kNumFunnelStages> JoinStats::Funnel()
+    const {
+  std::array<FunnelEdge, obs::kNumFunnelStages> funnel;
+  funnel[static_cast<size_t>(obs::FunnelStage::kQgram)] = {
+      length_compatible_pairs, qgram_candidates};
+  funnel[static_cast<size_t>(obs::FunnelStage::kFreqDistance)] = {
+      qgram_candidates, freq_candidates};
+  funnel[static_cast<size_t>(obs::FunnelStage::kCdfBound)] = {
+      freq_candidates, freq_candidates - cdf_rejected};
+  funnel[static_cast<size_t>(obs::FunnelStage::kVerify)] = {verified_pairs,
+                                                            verified_hits};
+  return funnel;
+}
+
+obs::QueryLogRecord MakeQueryLogRecord(const JoinStats& stats,
+                                       int64_t connection, int64_t seq,
+                                       int64_t query_length, int64_t hits,
+                                       bool error) {
+  obs::QueryLogRecord out;
+  out.request_id = obs::QueryRequestId(connection, seq);
+  out.connection = connection;
+  out.seq = seq;
+  out.query_length = query_length;
+  out.length_band = obs::Histogram::BucketIndex(query_length);
+  const std::array<JoinStats::FunnelEdge, obs::kNumFunnelStages> funnel =
+      stats.Funnel();
+  for (size_t s = 0; s < funnel.size(); ++s) {
+    out.funnel_entered[s] = funnel[s].entered;
+    out.funnel_survived[s] = funnel[s].survived;
+  }
+  out.candidates = stats.qgram_candidates;
+  out.verify_worlds = stats.verify_worlds;
+  out.budget_fallbacks = stats.budget_fallbacks;
+  out.deadline_fallbacks = stats.deadline_fallbacks;
+  out.hits = hits;
+  out.inexact = stats.Inexact();
+  out.error = error;
+  out.total_ns = static_cast<int64_t>(stats.total_time * 1e9);
+  out.verify_ns = static_cast<int64_t>(stats.verify_time * 1e9);
+  return out;
 }
 
 std::string JoinStats::ToString() const {

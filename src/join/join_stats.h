@@ -1,13 +1,19 @@
 #ifndef UJOIN_JOIN_JOIN_STATS_H_
 #define UJOIN_JOIN_JOIN_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
 #include "index/segment_index.h"
+#include "obs/metrics.h"
 #include "verify/verifier.h"
 
 namespace ujoin {
+
+namespace obs {
+struct QueryLogRecord;
+}  // namespace obs
 
 /// \brief Per-stage counters and timings of one join (or search) run.
 ///
@@ -33,6 +39,12 @@ struct JoinStats {
   /// Pairs handed to exact verification, and final results.
   int64_t verified_pairs = 0;
   int64_t result_pairs = 0;
+  /// Verified pairs that became results (the rest of `result_pairs` were
+  /// decided from CDF bounds).
+  int64_t verified_hits = 0;
+  /// Saturating sum over verified pairs of |worlds(R)| x |worlds(S)|: the
+  /// world enumeration the trie verification stood in for.
+  int64_t verify_worlds = 0;
   /// Candidates whose exact verification was skipped because the
   /// possible-world product exceeded SearchLimits::max_verify_worlds (the
   /// pair was decided from its CDF bounds instead; results may be inexact).
@@ -65,6 +77,18 @@ struct JoinStats {
   /// back explicitly.
   double FilterTime() const { return qgram_time + freq_time + cdf_time; }
 
+  /// One filter-funnel stage's candidate flow.
+  struct FunnelEdge {
+    int64_t entered = 0;
+    int64_t survived = 0;
+  };
+
+  /// The filter funnel (DESIGN.md "Observability"), one edge per
+  /// obs::FunnelStage, read off the pair-flow counters.  A disabled stage is
+  /// a pass-through (entered == survived); pairs the CDF bound accepts
+  /// outright never enter the verify stage.
+  std::array<FunnelEdge, obs::kNumFunnelStages> Funnel() const;
+
   /// Accumulates `other` into this: pair-flow counters and per-stage times
   /// sum, `peak_index_memory` takes the max, and the nested index/verify
   /// work counters sum.  The parallel join drivers give every worker a
@@ -84,6 +108,15 @@ struct JoinStats {
 
 /// Version of the JSON object emitted by JoinStats::ToJson.
 inline constexpr int kJoinStatsSchemaVersion = 1;
+
+/// The query-log record of one answered query, built from that query's own
+/// stats: funnel, candidates, verify worlds, fallbacks, verdict and timing
+/// all come from `stats`, so the record is complete under -DUJOIN_OBS=OFF.
+/// Allocation-free.  Error answers pass default stats.
+obs::QueryLogRecord MakeQueryLogRecord(const JoinStats& stats,
+                                       int64_t connection, int64_t seq,
+                                       int64_t query_length, int64_t hits,
+                                       bool error);
 
 }  // namespace ujoin
 

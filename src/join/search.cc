@@ -5,17 +5,14 @@
 #include <optional>
 #include <thread>
 
-#include "filter/cdf_filter.h"
 #include "join/explain.h"
-#include "join/pair_verifier.h"
+#include "join/probe_cascade.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/math_util.h"
 #include "util/timer.h"
-#include "verify/verifier.h"
 
 namespace ujoin {
 
@@ -93,8 +90,6 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     obs::SpanCollector* spans, const SearchLimits& limits,
     ExplainData* explain) const {
   UJOIN_RETURN_IF_ERROR(ValidateString(query, alphabet_, "query"));
-  JoinStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
   QueryWorkspace local_workspace;
   if (workspace == nullptr) workspace = &local_workspace;
   obs::SpanCollector local_spans;  // disabled
@@ -120,15 +115,6 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     ~ExplainRestore() { ws->explain_merged = saved; }
   } explain_restore{workspace, saved_ws_explain};
 
-  // `stats` may be caller-owned and already non-zero, so the funnel deltas
-  // for this query are computed against base snapshots taken here.
-  const int64_t base_length_compatible = stats->length_compatible_pairs;
-  const int64_t base_qgram = stats->qgram_candidates;
-  const int64_t base_freq = stats->freq_candidates;
-  const int64_t base_cdf_rejected = stats->cdf_rejected;
-  const int64_t base_verified = stats->verified_pairs;
-  int64_t verify_emitted = 0;
-
   UJOIN_OBS_FLIGHT_EVENT(
       obs::FlightEvent::kQueryBegin, limits.deadline_ns,
       obs::Histogram::BucketIndex(static_cast<int64_t>(query.length())));
@@ -144,17 +130,15 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   } flight_query_end;
   Timer total_timer;
   const int64_t query_span_start = spans->NowNs();
-  // Sub-millisecond per-pair stages accumulate integer nanoseconds and fold
-  // into the seconds-based stats once per query.
-  int64_t qgram_ns = 0;
-  int64_t freq_ns = 0;
-  int64_t cdf_ns = 0;
-  int64_t verify_ns = 0;
+  // The query records into its own stats, which merge into the caller's
+  // once, at the end.
+  JoinStats query_stats;
+  internal::StageNanos ns;
   std::vector<SearchHit> hits;
 
   std::optional<FrequencySummary> query_summary;
   if (options_.use_freq_filter) {
-    ScopedNanoTimer timer(&freq_ns);
+    ScopedNanoTimer timer(&ns.freq);
     query_summary.emplace(FrequencySummary::Build(query, alphabet_));
   }
   JoinOptions effective_options = options_;
@@ -162,15 +146,6 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     effective_options.always_verify = true;
     effective_options.early_stop_verification = false;
   }
-  internal::PairVerifier verifier(query, effective_options);
-  // World-count factor of the query, computed once and only when someone
-  // consumes it — a recorder, or the verification budget (WorldCount walks
-  // every position).
-  const bool budget_active = limits.max_verify_worlds > 0;
-  const bool limit_active = budget_active || limits.deadline_ns > 0;
-  const bool want_worlds = UJOIN_OBS_ENABLED(metrics) || budget_active ||
-                           explain != nullptr || UJOIN_OBS_FLIGHT_ENABLED();
-  const int64_t q_worlds = want_worlds ? query.WorldCount() : 0;
 
   const double qgram_tau =
       options_.qgram_probabilistic_pruning ? options_.tau : 0.0;
@@ -185,7 +160,7 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   for (int l = lo; l <= hi; ++l) {
     const int64_t bucket_ids =
         static_cast<int64_t>(ids_by_length_[static_cast<size_t>(l)].size());
-    stats->length_compatible_pairs += bucket_ids;
+    query_stats.length_compatible_pairs += bucket_ids;
     ExplainProbe* probe = nullptr;
     IndexQueryStats probe_base;
     size_t candidates_base = candidates.size();
@@ -195,14 +170,14 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
       probe = &explain->probes.back();
       probe->length = l;
       probe->indexed_ids = bucket_ids;
-      probe_base = stats->index_stats;
+      probe_base = query_stats.index_stats;
       merged_base = explain_merged.size();
     }
     if (options_.use_qgram_filter) {
-      ScopedNanoTimer timer(&qgram_ns);
+      ScopedNanoTimer timer(&ns.qgram);
       for (const IndexCandidate& c :
            index_.Query(query, l, qgram_tau, workspace,
-                        &stats->index_stats)) {
+                        &query_stats.index_stats)) {
         candidates.push_back(c.id);
         if (explain != nullptr) {
           ExplainCandidate ec;
@@ -229,7 +204,7 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
         const LengthBucketIndex* bucket = index_.bucket(l);
         probe->num_segments =
             bucket != nullptr ? bucket->num_segments() : 0;
-        const IndexQueryStats& is = stats->index_stats;
+        const IndexQueryStats& is = query_stats.index_stats;
         probe->lists_scanned = is.lists_scanned - probe_base.lists_scanned;
         probe->postings_scanned =
             is.postings_scanned - probe_base.postings_scanned;
@@ -250,203 +225,36 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     spans->Span("qgram_probe", qgram_span_start,
                 spans->NowNs() - qgram_span_start);
   }
-  stats->qgram_candidates += static_cast<int64_t>(candidates.size());
+  query_stats.qgram_candidates += static_cast<int64_t>(candidates.size());
   UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kFunnelStage,
                          static_cast<int64_t>(obs::FunnelStage::kQgram),
                          static_cast<int64_t>(candidates.size()));
 
-  const int64_t cascade_start = spans->NowNs();
-  size_t explain_ci = 0;
-  for (uint32_t id : candidates) {
-    const UncertainString& s = collection_[id];
-    // Explain rows were appended in candidate order above, so the running
-    // index pairs each cascade pass with its narrative row.
-    ExplainCandidate* const ec =
-        explain != nullptr ? &explain->candidates[explain_ci++] : nullptr;
-    if (options_.use_freq_filter) {
-      ScopedNanoTimer timer(&freq_ns);
-      const FreqFilterOutcome freq =
-          EvaluateFreqFilter(*query_summary, freq_summaries_[id], options_.k);
-      if (ec != nullptr) {
-        ec->have_freq = true;
-        ec->freq_lower_bound = freq.fd_lower_bound;
-        ec->freq_upper_bound = freq.upper_bound;
-      }
-      if (freq.fd_lower_bound > options_.k) {
-        ++stats->freq_lower_pruned;
-        if (ec != nullptr) ec->stage = ExplainStage::kFreqLowerPruned;
-        continue;
-      }
-      if (freq.upper_bound <= options_.tau) {
-        ++stats->freq_upper_pruned;
-        if (ec != nullptr) ec->stage = ExplainStage::kFreqUpperPruned;
-        continue;
-      }
-    }
-    ++stats->freq_candidates;
-
-    bool need_verify = true;
-    bool have_cdf = false;
-    double cdf_lower = 0.0;
-    if (options_.use_cdf_filter) {
-      ScopedNanoTimer timer(&cdf_ns);
-      const CdfFilterOutcome cdf =
-          EvaluateCdfFilter(query, s, options_.k, options_.tau);
-      have_cdf = true;
-      cdf_lower = cdf.bounds.lower[static_cast<size_t>(options_.k)];
-      if (ec != nullptr) {
-        ec->have_cdf = true;
-        ec->cdf_lower = cdf_lower;
-      }
-      if (cdf.decision == CdfDecision::kReject) {
-        ++stats->cdf_rejected;
-        if (ec != nullptr) ec->stage = ExplainStage::kCdfRejected;
-        continue;
-      }
-      if (cdf.decision == CdfDecision::kAccept) {
-        ++stats->cdf_accepted;
-        if (!effective_options.always_verify) {
-          need_verify = false;
-        }
-      } else {
-        ++stats->cdf_undecided;
-      }
-    }
-
-    if (!need_verify) {
-      ++stats->result_pairs;
-      hits.push_back(SearchHit{id, cdf_lower, /*exact=*/false});
-      if (ec != nullptr) {
-        ec->stage = ExplainStage::kCdfAccepted;
-        ec->emitted = true;
-        ec->probability = cdf_lower;
-        ec->exact = false;
-      }
-      continue;
-    }
-
-    // Per-query limits (the serve layer's deadline / verification budget):
-    // when this pair's exact verification is forbidden, decide it from the
-    // certified CDF lower bound instead and mark the query inexact.  The
-    // budget is a pure function of the two strings, so budget-limited
-    // results stay deterministic; the deadline is wall-clock and is not.
-    if (limit_active) {
-      const bool over_budget = ExceedsWorldBudget(
-          SaturatingMul(q_worlds, s.WorldCount()), limits.max_verify_worlds);
-      const bool over_deadline =
-          !over_budget && limits.deadline_ns > 0 &&
-          total_timer.ElapsedNanos() > limits.deadline_ns;
-      if (over_budget || over_deadline) {
-        if (!have_cdf) {
-          ScopedNanoTimer timer(&cdf_ns);
-          const CdfFilterOutcome cdf =
-              EvaluateCdfFilter(query, s, options_.k, options_.tau);
-          cdf_lower = cdf.bounds.lower[static_cast<size_t>(options_.k)];
-        }
-        if (over_budget) {
-          ++stats->budget_fallbacks;
-          UJOIN_OBS_COUNTER(metrics, obs::Counter::kVerifyBudgetFallbacks, 1);
-        } else {
-          ++stats->deadline_fallbacks;
-          UJOIN_OBS_COUNTER(metrics, obs::Counter::kVerifyDeadlineFallbacks,
-                            1);
-        }
-        if (ec != nullptr) {
-          ec->have_cdf = true;
-          ec->cdf_lower = cdf_lower;
-          ec->stage = over_budget ? ExplainStage::kBudgetFallback
-                                  : ExplainStage::kDeadlineFallback;
-        }
-        if (cdf_lower > options_.tau) {
-          ++stats->result_pairs;
-          hits.push_back(SearchHit{id, cdf_lower, /*exact=*/false});
-          if (ec != nullptr) {
-            ec->emitted = true;
-            ec->probability = cdf_lower;
-            ec->exact = false;
-          }
-        }
-        continue;
-      }
-    }
-
-    const int64_t pair_worlds =
-        want_worlds ? SaturatingMul(q_worlds, s.WorldCount()) : 0;
-    UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kVerifyBegin, pair_worlds, 0);
-    Timer verify_timer;
-    ++stats->verified_pairs;
-    const int64_t nodes_before = stats->verify_stats.explored_s_nodes;
-    Result<ThresholdVerdict> verdict =
-        verifier.Decide(s, options_.tau, &stats->verify_stats);
-    const int64_t pair_verify_ns = verify_timer.ElapsedNanos();
-    verify_ns += pair_verify_ns;
-    UJOIN_OBS_HIST(metrics, obs::Hist::kVerifyLatencyNs, pair_verify_ns);
-    UJOIN_OBS_HIST(metrics, obs::Hist::kExploredTrieNodes,
-                   stats->verify_stats.explored_s_nodes - nodes_before);
-    UJOIN_OBS_HIST(metrics, obs::Hist::kVerifyWorldCount, pair_worlds);
-    if (!verdict.ok()) return verdict.status();
-    if (ec != nullptr) {
-      ec->stage = ExplainStage::kVerified;
-      ec->verify_worlds = pair_worlds;
-    }
-    if (verdict->similar) {
-      ++stats->result_pairs;
-      ++verify_emitted;
-      hits.push_back(SearchHit{id, verdict->lower, verdict->exact});
-      if (ec != nullptr) {
-        ec->emitted = true;
-        ec->probability = verdict->lower;
-        ec->exact = verdict->exact;
-      }
-    }
-  }
-
-  stats->qgram_time += 1e-9 * static_cast<double>(qgram_ns);
-  stats->freq_time += 1e-9 * static_cast<double>(freq_ns);
-  stats->cdf_time += 1e-9 * static_cast<double>(cdf_ns);
-  stats->verify_time += 1e-9 * static_cast<double>(verify_ns);
-  UJOIN_OBS_COUNTER(metrics, obs::Counter::kKernelFreqDistNs, freq_ns);
-  UJOIN_OBS_COUNTER(metrics, obs::Counter::kKernelCdfDpNs, cdf_ns);
-
-  // Filter-funnel flow for this query, as deltas against the base snapshots
-  // (a disabled stage is a pass-through: entered == survived).
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kQgram,
-                   stats->length_compatible_pairs - base_length_compatible,
-                   stats->qgram_candidates - base_qgram);
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kFreqDistance,
-                   stats->qgram_candidates - base_qgram,
-                   stats->freq_candidates - base_freq);
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kCdfBound,
-                   stats->freq_candidates - base_freq,
-                   (stats->freq_candidates - base_freq) -
-                       (stats->cdf_rejected - base_cdf_rejected));
-  UJOIN_OBS_FUNNEL(metrics, obs::FunnelStage::kVerify,
-                   stats->verified_pairs - base_verified, verify_emitted);
+  // Explain rows were appended in candidate order above, so row n narrates
+  // the cascade pass of candidate n.
+  UJOIN_RETURN_IF_ERROR(internal::RunCascade(
+      internal::ProbeCascade{
+          .r = query,
+          .r_summary = query_summary.has_value() ? &*query_summary : nullptr,
+          .options = effective_options,
+          .strings = collection_,
+          .ids = {},
+          .summaries = freq_summaries_,
+          .limits = &limits,
+          .clock = &total_timer,
+          .explain =
+              explain != nullptr ? explain->candidates.data() : nullptr},
+      candidates, ns, &query_stats, metrics, spans, &hits));
 
   UJOIN_OBS_COUNTER(metrics, obs::Counter::kQueries, 1);
   UJOIN_OBS_COUNTER(metrics, obs::Counter::kProbes, 1);
-  const int64_t query_ns = total_timer.ElapsedNanos();
-  UJOIN_OBS_HIST(metrics, obs::Hist::kProbeLatencyNs, query_ns);
-
-  if (spans->enabled()) {
-    // Aggregate per-pair stage times as back-to-back synthetic spans from
-    // the cascade's start (see DESIGN.md "Observability").
-    int64_t t = cascade_start;
-    if (options_.use_freq_filter) {
-      spans->Span("freq_filter", t, freq_ns);
-      t += freq_ns;
-    }
-    if (options_.use_cdf_filter) {
-      spans->Span("cdf_dp", t, cdf_ns);
-      t += cdf_ns;
-    }
-    if (verify_ns > 0) spans->Span("trie_verify", t, verify_ns);
-    spans->Span("search", query_span_start,
-                spans->NowNs() - query_span_start);
-  }
+  UJOIN_OBS_HIST(metrics, obs::Hist::kProbeLatencyNs,
+                 total_timer.ElapsedNanos());
+  spans->Span("search", query_span_start, spans->NowNs() - query_span_start);
 
   std::sort(hits.begin(), hits.end());
-  stats->total_time = total_timer.ElapsedSeconds();
+  query_stats.total_time = total_timer.ElapsedSeconds();
+  if (stats != nullptr) stats->Merge(query_stats);
   flight_query_end.ok = true;
   flight_query_end.hits = static_cast<int64_t>(hits.size());
   return hits;
@@ -665,17 +473,14 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
       metrics != nullptr ? metrics : options_.metrics;
   obs::TraceRecorder* const trace =
       trace_sink != nullptr ? trace_sink : options_.trace;
-  // Query-log records are built from per-query recorders, so a log sink
-  // forces them even without a run-level metrics sink.
-  const bool per_query_metrics = run_metrics != nullptr || query_log != nullptr;
   std::vector<obs::Recorder> query_metrics(
-      per_query_metrics ? queries.size() : 0);
+      run_metrics != nullptr ? queries.size() : 0);
   std::vector<obs::SpanCollector> query_spans(
       trace != nullptr ? queries.size() : 0);
   const auto run_query = [&](int worker, size_t i,
                              QueryWorkspace* workspace) {
     obs::Recorder* const rec =
-        per_query_metrics ? &query_metrics[i] : nullptr;
+        run_metrics != nullptr ? &query_metrics[i] : nullptr;
     obs::SpanCollector* span_sink = nullptr;
     // Query-span sampling: the keep/drop decision depends only on the
     // sampling config and the query index, so sampled traces are identical
@@ -719,26 +524,16 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
     out.push_back(std::move(results[i]).value());
     if (stats != nullptr) stats->Merge(query_stats[i]);
     if (run_metrics != nullptr) run_metrics->Merge(query_metrics[i]);
-    const int64_t query_ns =
-        static_cast<int64_t>(query_stats[i].total_time * 1e9);
     if (query_log != nullptr) {
-      obs::QueryLogRecord record = obs::MakeQueryLogRecord(
-          query_metrics[i], /*connection=*/0,
+      query_log->Write(MakeQueryLogRecord(
+          query_stats[i], /*connection=*/0,
           /*seq=*/static_cast<int64_t>(i) + 1, queries[i].length(),
-          static_cast<int64_t>(out.back().size()), /*error=*/false);
-      // Stats-derived and wall-clock fields are caller-filled (see
-      // MakeQueryLogRecord) so the record survives -DUJOIN_OBS=OFF.
-      record.budget_fallbacks = query_stats[i].budget_fallbacks;
-      record.deadline_fallbacks = query_stats[i].deadline_fallbacks;
-      record.inexact = query_stats[i].Inexact();
-      record.total_ns = query_ns;
-      record.verify_ns =
-          static_cast<int64_t>(query_stats[i].verify_time * 1e9);
-      query_log->Write(record);
+          static_cast<int64_t>(out.back().size()), /*error=*/false));
     }
     if (trace != nullptr) {
       const bool keep = trace->KeepProbe(
-          trace->SampleProbe(static_cast<int64_t>(i)), query_ns);
+          trace->SampleProbe(static_cast<int64_t>(i)),
+          static_cast<int64_t>(query_stats[i].total_time * 1e9));
       trace->NoteProbe(keep);
       if (keep) trace->Append(query_spans[i].events());
     }

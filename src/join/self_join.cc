@@ -8,15 +8,14 @@
 #include <span>
 #include <thread>
 
-#include "filter/cdf_filter.h"
 #include "filter/freq_filter.h"
 #include "index/segment_index.h"
 #include "join/pair_verifier.h"
+#include "join/probe_cascade.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/math_util.h"
 #include "util/timer.h"
 
 namespace ujoin {
@@ -109,8 +108,9 @@ void RunWaveTasks(int threads, uint32_t count, const Fn& fn) {
 // the join output and counters are identical for every thread count.
 struct ProbeOutcome {
   Status status = Status::OK();
-  std::vector<JoinPair> pairs;
+  std::vector<SearchHit> hits;  // candidate ids are visiting positions
   JoinStats stats;
+  int worker = 0;             // pool worker that ran this rank
   int64_t probe_ns = 0;       // wall time of this rank's probe
   obs::SpanCollector spans;   // rank-private trace spans (empty when off)
 };
@@ -170,6 +170,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
   obs::Recorder* const run_metrics = options.metrics;
   obs::TraceRecorder* const trace = options.trace;
   std::vector<obs::Recorder> rank_metrics;
+  std::vector<int64_t> worker_ns;  // per-worker probe time of one wave
 
   for (uint32_t wave_start = 0; wave_start < n; wave_start += wave_size) {
     const uint32_t wave_end = static_cast<uint32_t>(
@@ -229,6 +230,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       const UncertainString& r = collection[order[i]];
       const int len = lengths[i];
       ProbeOutcome& outcome = outcomes[rank];
+      outcome.worker = worker;
       JoinStats& pstats = outcome.stats;
 
       // Rank-private observability state: the index probe records into
@@ -248,12 +250,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       obs::SpanCollector& spans = outcome.spans;
       Timer probe_timer;
       const int64_t probe_span_start = spans.NowNs();
-      // Sub-millisecond per-pair stages accumulate integer nanoseconds and
-      // fold into the seconds-based JoinStats fields once per rank.
-      int64_t qgram_ns = 0;
-      int64_t freq_ns = 0;
-      int64_t cdf_ns = 0;
-      int64_t verify_ns = 0;
+      internal::StageNanos ns;
 
       // ---- candidate generation ----------------------------------------
       // Strings of smaller visiting position with length in [len - k, len]
@@ -267,7 +264,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       candidates.clear();
       if (options.use_qgram_filter) {
         const int64_t span_start = spans.NowNs();
-        ScopedNanoTimer timer(&qgram_ns);
+        ScopedNanoTimer timer(&ns.qgram);
         for (int l = std::max(1, len - options.k); l <= len; ++l) {
           const std::span<const IndexCandidate> found = index.Query(
               r, l, qgram_tau, &workspace, &pstats.index_stats,
@@ -276,144 +273,28 @@ Result<SelfJoinResult> SimilaritySelfJoin(
         }
         timer.StopAndGet();
         spans.Span("qgram_probe", span_start, spans.NowNs() - span_start);
-        pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
       } else {
         const uint32_t first =
             static_cast<uint32_t>(window_begin - lengths.begin());
         for (uint32_t j = first; j < i; ++j) candidates.push_back(j);
-        pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
       }
-
-      // ---- per-candidate filter cascade ---------------------------------
-      internal::PairVerifier verifier(r, options);
-      // World-count factor of the probing string, computed once per rank and
-      // only while recording (WorldCount walks every position).  The flight
-      // recorder wants it too: its verify-begin events carry the world
-      // estimate the watchdog reports for stalled verifications.
-      const bool want_worlds =
-          UJOIN_OBS_ENABLED(rec) || UJOIN_OBS_FLIGHT_ENABLED();
-      const int64_t r_worlds = want_worlds ? r.WorldCount() : 0;
-      int64_t verify_emitted = 0;
-      const int64_t cascade_start = spans.NowNs();
-      for (uint32_t j : candidates) {
-        const UncertainString& s = collection[order[j]];
-
-        if (options.use_freq_filter) {
-          ScopedNanoTimer timer(&freq_ns);
-          const FreqFilterOutcome freq = EvaluateFreqFilter(
-              freq_summaries[i], freq_summaries[j], options.k);
-          if (freq.fd_lower_bound > options.k) {
-            ++pstats.freq_lower_pruned;
-            continue;
-          }
-          if (freq.upper_bound <= options.tau) {
-            ++pstats.freq_upper_pruned;
-            continue;
-          }
-        }
-        ++pstats.freq_candidates;
-
-        bool need_verify = true;
-        double accepted_lower_bound = 0.0;
-        if (options.use_cdf_filter) {
-          ScopedNanoTimer timer(&cdf_ns);
-          const CdfFilterOutcome cdf =
-              EvaluateCdfFilter(r, s, options.k, options.tau);
-          if (cdf.decision == CdfDecision::kReject) {
-            ++pstats.cdf_rejected;
-            continue;
-          }
-          if (cdf.decision == CdfDecision::kAccept) {
-            ++pstats.cdf_accepted;
-            if (!options.always_verify) {
-              accepted_lower_bound =
-                  cdf.bounds.lower[static_cast<size_t>(options.k)];
-              need_verify = false;
-            }
-          } else {
-            ++pstats.cdf_undecided;
-          }
-        }
-
-        if (!need_verify) {
-          ++pstats.result_pairs;
-          EmitPair(order[i], order[j], accepted_lower_bound, /*exact=*/false,
-                   &outcome.pairs);
-          continue;
-        }
-
-        const int64_t pair_worlds =
-            want_worlds ? SaturatingMul(r_worlds, s.WorldCount()) : 0;
-        UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kVerifyBegin, pair_worlds, 0);
-        Timer verify_timer;
-        ++pstats.verified_pairs;
-        const int64_t nodes_before = pstats.verify_stats.explored_s_nodes;
-        Result<ThresholdVerdict> verdict =
-            verifier.Decide(s, options.tau, &pstats.verify_stats);
-        const int64_t pair_verify_ns = verify_timer.ElapsedNanos();
-        verify_ns += pair_verify_ns;
-        UJOIN_OBS_HIST(rec, obs::Hist::kVerifyLatencyNs, pair_verify_ns);
-        UJOIN_OBS_HIST(rec, obs::Hist::kExploredTrieNodes,
-                       pstats.verify_stats.explored_s_nodes - nodes_before);
-        UJOIN_OBS_HIST(rec, obs::Hist::kVerifyWorldCount, pair_worlds);
-        if (!verdict.ok()) {
-          outcome.status = verdict.status();
-          return;
-        }
-        if (verdict->similar) {
-          ++pstats.result_pairs;
-          ++verify_emitted;
-          EmitPair(order[i], order[j], verdict->lower, verdict->exact,
-                   &outcome.pairs);
-        }
-      }
-
-      // Fold the nano accumulators into the seconds-based stats once per
-      // rank (satellite: no per-pair seconds-double round-trips).
-      pstats.qgram_time += 1e-9 * static_cast<double>(qgram_ns);
-      pstats.freq_time += 1e-9 * static_cast<double>(freq_ns);
-      pstats.cdf_time += 1e-9 * static_cast<double>(cdf_ns);
-      pstats.verify_time += 1e-9 * static_cast<double>(verify_ns);
-      UJOIN_OBS_COUNTER(rec, obs::Counter::kKernelFreqDistNs, freq_ns);
-      UJOIN_OBS_COUNTER(rec, obs::Counter::kKernelCdfDpNs, cdf_ns);
-
-      // Filter-funnel flow for this rank, read off the rank-private stats
-      // (they start at zero, so these are exactly this probe's deltas).  A
-      // disabled stage is a pass-through — entered == survived — by
-      // construction of the counters above.
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kQgram,
-                       pstats.length_compatible_pairs,
-                       pstats.qgram_candidates);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kFreqDistance,
-                       pstats.qgram_candidates, pstats.freq_candidates);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kCdfBound,
-                       pstats.freq_candidates,
-                       pstats.freq_candidates - pstats.cdf_rejected);
-      UJOIN_OBS_FUNNEL(rec, obs::FunnelStage::kVerify, pstats.verified_pairs,
-                       verify_emitted);
-
-      outcome.probe_ns = probe_timer.ElapsedNanos();
-      UJOIN_OBS_HIST(rec, obs::Hist::kProbeLatencyNs, outcome.probe_ns);
+      pstats.qgram_candidates += static_cast<int64_t>(candidates.size());
       workspace.obs = nullptr;
 
-      if (spans.enabled()) {
-        // The per-pair filter/verify stages interleave, so they are emitted
-        // as aggregate spans laid back to back from the cascade's start;
-        // each span's duration is that stage's summed time in this rank
-        // (documented in DESIGN.md "Observability").
-        int64_t t = cascade_start;
-        if (options.use_freq_filter) {
-          spans.Span("freq_filter", t, freq_ns);
-          t += freq_ns;
-        }
-        if (options.use_cdf_filter) {
-          spans.Span("cdf_dp", t, cdf_ns);
-          t += cdf_ns;
-        }
-        if (verify_ns > 0) spans.Span("trie_verify", t, verify_ns);
-        spans.Span("probe", probe_span_start,
-                   spans.NowNs() - probe_span_start);
-      }
+      // ---- the filter-and-verify cascade, shared with the searcher ------
+      outcome.status = internal::RunCascade(
+          internal::ProbeCascade{
+              .r = r,
+              .r_summary =
+                  options.use_freq_filter ? &freq_summaries[i] : nullptr,
+              .options = options,
+              .strings = collection,
+              .ids = order,
+              .summaries = freq_summaries},
+          candidates, ns, &pstats, rec, &spans, &outcome.hits);
+      outcome.probe_ns = probe_timer.ElapsedNanos();
+      UJOIN_OBS_HIST(rec, obs::Hist::kProbeLatencyNs, outcome.probe_ns);
+      spans.Span("probe", probe_span_start, spans.NowNs() - probe_span_start);
     });
 
     if (trace != nullptr) {
@@ -427,8 +308,10 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       ProbeOutcome& outcome = outcomes[rank];
       if (!outcome.status.ok()) return outcome.status;
       stats.Merge(outcome.stats);
-      result.pairs.insert(result.pairs.end(), outcome.pairs.begin(),
-                          outcome.pairs.end());
+      for (const SearchHit& hit : outcome.hits) {
+        EmitPair(order[wave_start + rank], order[hit.id], hit.probability,
+                 hit.exact, &result.pairs);
+      }
       if (run_metrics != nullptr) run_metrics->Merge(rank_metrics[rank]);
       if (trace != nullptr) {
         trace->NoteProbe(outcome.spans.enabled());
@@ -443,16 +326,23 @@ Result<SelfJoinResult> SimilaritySelfJoin(
     // Wave-level metrics, recorded by the driver after the fold.
     UJOIN_OBS_COUNTER(run_metrics, obs::Counter::kWaves, 1);
     UJOIN_OBS_COUNTER(run_metrics, obs::Counter::kProbes, wave_count);
-    if (UJOIN_OBS_ENABLED(run_metrics) && wave_count >= 2) {
-      int64_t max_ns = 0;
-      int64_t sum_ns = 0;
+    if (UJOIN_OBS_ENABLED(run_metrics)) {
+      // Imbalance is between workers, not probes: a worker's load is the
+      // sum of the probe times of the ranks it ran, over the wave's
+      // min(threads, wave size) workers (one worker is balanced by
+      // definition).
+      const int workers = std::min(threads, static_cast<int>(wave_count));
+      worker_ns.assign(static_cast<size_t>(workers), 0);
       for (const ProbeOutcome& outcome : outcomes) {
-        max_ns = std::max(max_ns, outcome.probe_ns);
-        sum_ns += outcome.probe_ns;
+        worker_ns[static_cast<size_t>(outcome.worker)] += outcome.probe_ns;
       }
+      const int64_t max_ns =
+          *std::max_element(worker_ns.begin(), worker_ns.end());
+      const int64_t sum_ns =
+          std::accumulate(worker_ns.begin(), worker_ns.end(), int64_t{0});
       if (sum_ns > 0) {
         const double mean_ns =
-            static_cast<double>(sum_ns) / static_cast<double>(wave_count);
+            static_cast<double>(sum_ns) / static_cast<double>(workers);
         UJOIN_OBS_HIST(
             run_metrics, obs::Hist::kWaveImbalancePermille,
             static_cast<int64_t>(1000.0 * static_cast<double>(max_ns) /

@@ -18,7 +18,7 @@ constexpr MetricInfo kHistInfo[kNumHists] = {
     {"candidate_alpha_ppm", "ppm",
      "candidate upper bound from the q-gram DP, parts-per-million"},
     {"wave_imbalance_permille", "permille",
-     "per-wave probe imbalance, 1000*max/mean over ranks"},
+     "per-wave imbalance, 1000*max/mean of per-worker probe time"},
     {"probe_latency_ns", "ns", "wall time of one probe or query"},
     {"verify_world_count", "count",
      "saturating possible-world count of one verified pair"},

@@ -38,8 +38,9 @@ enum class Hist : int {
   /// Candidate upper bound from Theorem 2's DP, in parts-per-million
   /// (round(1e6 * P(>= required matches))).
   kCandidateAlphaPpm,
-  /// Per-wave probe imbalance: round(1000 * max_rank_ns / mean_rank_ns) for
-  /// waves with at least two ranks.  1000 = perfectly balanced.
+  /// Per-wave worker imbalance: round(1000 * max / mean) over the wave's
+  /// min(threads, wave size) workers of each worker's summed probe time.
+  /// 1000 = perfectly balanced (always, at one thread).
   kWaveImbalancePermille,
   /// Wall time of one whole probe (one rank in a wave, or one query),
   /// nanoseconds.

@@ -46,29 +46,6 @@ void AppendContentFields(const QueryLogRecord& rec, JsonWriter* w) {
 
 }  // namespace
 
-QueryLogRecord MakeQueryLogRecord(const Recorder& rec, int64_t connection,
-                                  int64_t seq, int64_t query_length,
-                                  int64_t hits, bool error) {
-  QueryLogRecord out;
-  out.request_id = QueryRequestId(connection, seq);
-  out.connection = connection;
-  out.seq = seq;
-  out.query_length = query_length;
-  out.length_band = Histogram::BucketIndex(query_length);
-  for (int s = 0; s < kNumFunnelStages; ++s) {
-    out.funnel_entered[s] = rec.funnel_entered(static_cast<FunnelStage>(s));
-    out.funnel_survived[s] = rec.funnel_survived(static_cast<FunnelStage>(s));
-  }
-  out.candidates = rec.funnel_survived(FunnelStage::kQgram);
-  out.verify_worlds = rec.hist(Hist::kVerifyWorldCount).sum();
-  out.budget_fallbacks = rec.counter(Counter::kVerifyBudgetFallbacks);
-  out.deadline_fallbacks = rec.counter(Counter::kVerifyDeadlineFallbacks);
-  out.hits = hits;
-  out.inexact = out.budget_fallbacks + out.deadline_fallbacks > 0;
-  out.error = error;
-  return out;
-}
-
 void AppendQueryLogRecord(const QueryLogRecord& rec, JsonWriter* w) {
   w->BeginObject();
   w->Key("schema");

@@ -36,7 +36,8 @@ class JsonWriter;
 
 /// \brief One answered query, as a flat POD: building and buffering a record
 /// performs no heap allocation, which keeps the serve path inside the
-/// steady-state zero-allocation guarantee.
+/// steady-state zero-allocation guarantee.  Records are built from the
+/// query's own JoinStats (ujoin::MakeQueryLogRecord, join/join_stats.h).
 struct QueryLogRecord {
   // Attribution (determinism tier 2).
   uint64_t request_id = 0;  ///< QueryRequestId(connection, seq).
@@ -75,16 +76,6 @@ inline uint64_t QueryRequestId(int64_t connection, int64_t seq) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-/// Builds a record from one query's private recorder (funnel deltas,
-/// candidate count, verify worlds).  Allocation-free.  The caller overlays
-/// the JoinStats-derived fields (fallback counts, inexact flag) and the
-/// wall-clock fields afterwards — those come from sources outside obs/, and
-/// keeping them caller-filled means they survive `-DUJOIN_OBS=OFF`, which
-/// zeroes everything recorder-derived.
-QueryLogRecord MakeQueryLogRecord(const Recorder& rec, int64_t connection,
-                                  int64_t seq, int64_t query_length,
-                                  int64_t hits, bool error);
 
 /// Appends the record as one JSON value (fixed key order; see
 /// RenderQueryLogLine for the newline-terminated JSONL form).

@@ -123,7 +123,13 @@ Status SearchServer::Start() {
 
 void SearchServer::Stop() {
   if (!accept_thread_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Set the flag under the mailbox lock: an idle worker evaluates its
+    // wait predicate under this lock, so it either sees the flag or is
+    // already waiting when the notify below arrives.
+    std::lock_guard<std::mutex> lock(mailbox_mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   mailbox_cv_.notify_all();
   accept_thread_.join();
   for (std::thread& worker : workers_) worker.join();
@@ -268,8 +274,8 @@ void SearchServer::HandleConnection(int fd, int slot, int64_t conn) {
   const auto answer_error = [&](const std::string& message,
                                 int64_t query_length) {
     SendAll(fd, RenderErrorResponse(seq, message));
-    const obs::QueryLogRecord record = obs::MakeQueryLogRecord(
-        obs::Recorder{}, conn, seq, query_length, /*hits=*/0, /*error=*/true);
+    const obs::QueryLogRecord record = MakeQueryLogRecord(
+        JoinStats{}, conn, seq, query_length, /*hits=*/0, /*error=*/true);
     if (options_.query_log != nullptr) {
       log_buffer.Add(record);
       if (log_buffer.full()) log_buffer.FlushTo(options_.query_log);
@@ -358,16 +364,9 @@ void SearchServer::HandleConnection(int fd, int slot, int64_t conn) {
         continue;
       }
       SendAll(fd, RenderHitsResponse(seq, *hits, query_stats.Inexact()));
-      obs::QueryLogRecord record = obs::MakeQueryLogRecord(
-          query_rec, conn, seq, query->length(),
+      const obs::QueryLogRecord record = MakeQueryLogRecord(
+          query_stats, conn, seq, query->length(),
           static_cast<int64_t>(hits->size()), /*error=*/false);
-      // Stats-derived and wall-clock fields are caller-filled (see
-      // MakeQueryLogRecord) so records survive -DUJOIN_OBS=OFF.
-      record.budget_fallbacks = query_stats.budget_fallbacks;
-      record.deadline_fallbacks = query_stats.deadline_fallbacks;
-      record.inexact = query_stats.Inexact();
-      record.total_ns = static_cast<int64_t>(query_stats.total_time * 1e9);
-      record.verify_ns = static_cast<int64_t>(query_stats.verify_time * 1e9);
       if (options_.query_log != nullptr) {
         log_buffer.Add(record);
         if (log_buffer.full()) log_buffer.FlushTo(options_.query_log);

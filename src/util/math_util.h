@@ -31,6 +31,12 @@ inline int64_t SaturatingMul(int64_t a, int64_t b) {
   return a * b;
 }
 
+/// Saturating add for sums of world counts in [0, kWorldCountCap]: the sum
+/// of two such values cannot overflow int64, so one clamp suffices.
+inline int64_t SaturatingAdd(int64_t a, int64_t b) {
+  return std::min(a + b, kWorldCountCap);
+}
+
 }  // namespace ujoin
 
 #endif  // UJOIN_UTIL_MATH_UTIL_H_

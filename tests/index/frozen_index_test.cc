@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "index/segment_index.h"
+#include "join/join_stats.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
@@ -279,13 +280,14 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
 #endif
 
   // Same property for the query-log path the serve layer runs per request:
-  // building a record from the recorder and buffering it are flat copies
-  // into pre-reserved storage.
+  // building a record from the query's stats and buffering it are flat
+  // copies into pre-reserved storage.
   obs::QueryLogBuffer log_buffer;
+  const JoinStats query_stats{};
   {
     CountAllocations counter;
-    obs::QueryLogRecord record = obs::MakeQueryLogRecord(
-        recorder, /*connection=*/1, /*seq=*/2, length, /*hits=*/3,
+    obs::QueryLogRecord record = MakeQueryLogRecord(
+        query_stats, /*connection=*/1, /*seq=*/2, length, /*hits=*/3,
         /*error=*/false);
     log_buffer.Add(record);
     allocations = counter.count();

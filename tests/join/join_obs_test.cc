@@ -282,6 +282,29 @@ TEST(JoinObsTest, WorkHistogramsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// One worker cannot be imbalanced: the imbalance is max/mean over workers'
+// summed probe time, so a 1-thread join reads exactly 1000 in every wave,
+// however unequal its probes are.
+TEST(JoinObsTest, OneThreadWaveImbalanceIsExactlyBalanced) {
+  UJOIN_SKIP_WITHOUT_OBS();
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> strings = SeededCollection(90, 11);
+
+  obs::Recorder recorder;
+  JoinOptions options = JoinOptions::Qfct(2, 0.1);
+  options.threads = 1;
+  options.wave_size = 16;
+  options.metrics = &recorder;
+  ASSERT_TRUE(SimilaritySelfJoin(strings, alphabet, options).ok());
+
+  const obs::Histogram& imbalance =
+      recorder.hist(obs::Hist::kWaveImbalancePermille);
+  EXPECT_EQ(imbalance.count(), recorder.counter(obs::Counter::kWaves));
+  EXPECT_EQ(imbalance.count(), 6);  // ceil(90 / 16)
+  EXPECT_EQ(imbalance.min(), 1000);
+  EXPECT_EQ(imbalance.max(), 1000);
+}
+
 TEST(JoinObsTest, ProgressCallbackSeesMonotoneCompletion) {
   const Alphabet alphabet = Alphabet::Names();
   const std::vector<UncertainString> strings = SeededCollection(60, 3);

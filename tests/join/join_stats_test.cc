@@ -7,6 +7,7 @@
 
 #include "datagen/datagen.h"
 #include "join/self_join.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 
 namespace ujoin {
@@ -43,6 +44,8 @@ JoinStats RandomStats(Rng& rng) {
   s.verify_stats.explored_s_nodes = static_cast<int64_t>(rng.Uniform(1000));
   s.verify_stats.active_entries = static_cast<int64_t>(rng.Uniform(1000));
   s.verify_stats.world_pairs = static_cast<int64_t>(rng.Uniform(1000));
+  s.verified_hits = static_cast<int64_t>(rng.Uniform(1000));
+  s.verify_worlds = static_cast<int64_t>(rng.Uniform(1000));
   return s;
 }
 
@@ -51,6 +54,8 @@ TEST(JoinStatsMergeTest, CountersAndTimingsSumMemoryTakesMax) {
   a.qgram_candidates = 5;
   a.verified_pairs = 3;
   a.result_pairs = 2;
+  a.verified_hits = 1;
+  a.verify_worlds = 40;
   a.qgram_time = 0.5;
   a.verify_time = 1.25;
   a.peak_index_memory = 100;
@@ -61,6 +66,8 @@ TEST(JoinStatsMergeTest, CountersAndTimingsSumMemoryTakesMax) {
   b.qgram_candidates = 4;
   b.verified_pairs = 6;
   b.result_pairs = 1;
+  b.verified_hits = 1;
+  b.verify_worlds = 2;
   b.qgram_time = 0.25;
   b.verify_time = 0.75;
   b.peak_index_memory = 60;
@@ -71,6 +78,8 @@ TEST(JoinStatsMergeTest, CountersAndTimingsSumMemoryTakesMax) {
   EXPECT_EQ(a.qgram_candidates, 9);
   EXPECT_EQ(a.verified_pairs, 9);
   EXPECT_EQ(a.result_pairs, 3);
+  EXPECT_EQ(a.verified_hits, 2);
+  EXPECT_EQ(a.verify_worlds, 42);
   EXPECT_DOUBLE_EQ(a.qgram_time, 0.75);
   EXPECT_DOUBLE_EQ(a.verify_time, 2.0);
   EXPECT_EQ(a.peak_index_memory, 100u);  // max, not sum
@@ -81,6 +90,12 @@ TEST(JoinStatsMergeTest, CountersAndTimingsSumMemoryTakesMax) {
   c.peak_index_memory = 500;
   a.Merge(c);
   EXPECT_EQ(a.peak_index_memory, 500u);  // larger operand wins
+
+  // World-count sums saturate like the world counts themselves.
+  JoinStats huge;
+  huge.verify_worlds = kWorldCountCap;
+  a.Merge(huge);
+  EXPECT_EQ(a.verify_worlds, kWorldCountCap);
 }
 
 TEST(JoinStatsMergeTest, MergingIntoDefaultIsIdentity) {
@@ -101,6 +116,8 @@ TEST(JoinStatsMergeTest, MergingIntoDefaultIsIdentity) {
   EXPECT_EQ(merged.cdf_undecided, original.cdf_undecided);
   EXPECT_EQ(merged.verified_pairs, original.verified_pairs);
   EXPECT_EQ(merged.result_pairs, original.result_pairs);
+  EXPECT_EQ(merged.verified_hits, original.verified_hits);
+  EXPECT_EQ(merged.verify_worlds, original.verify_worlds);
   EXPECT_DOUBLE_EQ(merged.qgram_time, original.qgram_time);
   EXPECT_DOUBLE_EQ(merged.freq_time, original.freq_time);
   EXPECT_DOUBLE_EQ(merged.cdf_time, original.cdf_time);
@@ -131,15 +148,23 @@ TEST(JoinStatsMergeTest, FoldingEqualsFieldwiseSums) {
   grouped.Merge(right);
 
   int64_t expected_verified = 0;
+  int64_t expected_verified_hits = 0;
+  int64_t expected_worlds = 0;
   size_t expected_peak = 0;
   for (const JoinStats& s : locals) {
     expected_verified += s.verified_pairs;
+    expected_verified_hits += s.verified_hits;
+    expected_worlds += s.verify_worlds;
     expected_peak = std::max(expected_peak, s.peak_index_memory);
   }
   EXPECT_EQ(sequential.verified_pairs, expected_verified);
   EXPECT_EQ(sequential.peak_index_memory, expected_peak);
   EXPECT_EQ(grouped.verified_pairs, expected_verified);
   EXPECT_EQ(grouped.peak_index_memory, expected_peak);
+  EXPECT_EQ(sequential.verified_hits, expected_verified_hits);
+  EXPECT_EQ(grouped.verified_hits, expected_verified_hits);
+  EXPECT_EQ(sequential.verify_worlds, expected_worlds);
+  EXPECT_EQ(grouped.verify_worlds, expected_worlds);
   EXPECT_EQ(grouped.qgram_candidates, sequential.qgram_candidates);
   EXPECT_EQ(grouped.index_stats.postings_scanned,
             sequential.index_stats.postings_scanned);
@@ -188,6 +213,9 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
   EXPECT_EQ(p.cdf_undecided, s.cdf_undecided);
   EXPECT_EQ(p.verified_pairs, s.verified_pairs);
   EXPECT_EQ(p.result_pairs, s.result_pairs);
+  EXPECT_EQ(p.verified_hits, s.verified_hits);
+  EXPECT_EQ(p.verify_worlds, s.verify_worlds);
+  EXPECT_GT(p.verify_worlds, 0);
 }
 
 TEST(JoinStatsTest, FilterTimeExcludesIndexBuild) {

@@ -1,10 +1,12 @@
 // Differential test (exactness of the wave-parallel self-join): on the same
 // collection C, SimilaritySelfJoin(C) must report exactly the pairs of the
-// independently implemented two-collection SimilarityJoin(C, C) restricted
-// to lhs < rhs.  The two drivers share the filter theory but not the driver
-// code (index-then-probe-all versus wave-batched scan with id limits), so
-// agreement across randomized collections and all four paper variants is
-// strong evidence both are exact.
+// two-collection SimilarityJoin(C, C) restricted to lhs < rhs.  The two
+// drivers share the filter-and-verify cascade (join/probe_cascade.h) but
+// not the driver code (index-then-probe-all through SearchMany versus
+// wave-batched scan with id limits), so agreement across randomized
+// collections and all four paper variants is strong evidence that both
+// drivers' candidate generation and folding are exact.  ExhaustiveSelfJoin
+// stays the independent reference for the cascade itself.
 
 #include <map>
 #include <set>

@@ -1,6 +1,7 @@
 #include "join/self_join.h"
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -36,6 +37,10 @@ struct VariantCase {
   const char* name;
   JoinOptions options;
 };
+
+// Without a printer gtest lists the parameter as a byte dump that starts with
+// the `name` pointer, so the listed test name would change from run to run.
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
 
 class JoinVariantTest : public ::testing::TestWithParam<VariantCase> {};
 

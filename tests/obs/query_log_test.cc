@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
+#include "join/join_stats.h"
 #include "join/search.h"
 #include "obs/metrics.h"
 
@@ -16,18 +17,19 @@ namespace ujoin {
 namespace obs {
 namespace {
 
-// One query's worth of recorder state, mirroring what SearchImpl records:
-// the funnel chain, the verify world counts, and (for one variant) a
-// budget fallback.
-Recorder SeededQueryRecorder() {
-  Recorder r;
-  r.AddFunnel(FunnelStage::kQgram, 49, 4);
-  r.AddFunnel(FunnelStage::kFreqDistance, 4, 4);
-  r.AddFunnel(FunnelStage::kCdfBound, 4, 3);
-  r.AddFunnel(FunnelStage::kVerify, 2, 2);
-  r.RecordHist(Hist::kVerifyWorldCount, 50000);
-  r.RecordHist(Hist::kVerifyWorldCount, 27250);
-  return r;
+// One query's worth of stats, mirroring what the probe cascade records:
+// the pair flow behind the funnel chain and the verified pairs' world
+// counts (50000 + 27250).
+JoinStats SeededQueryStats() {
+  JoinStats s;
+  s.length_compatible_pairs = 49;
+  s.qgram_candidates = 4;
+  s.freq_candidates = 4;
+  s.cdf_rejected = 1;
+  s.verified_pairs = 2;
+  s.verified_hits = 2;
+  s.verify_worlds = 77250;
+  return s;
 }
 
 // The request id is part of the schema (tools/validate_query_log.py
@@ -41,9 +43,14 @@ TEST(QueryLogTest, RequestIdGoldenValues) {
   EXPECT_NE(QueryRequestId(1, 2), QueryRequestId(2, 1));
 }
 
-TEST(QueryLogTest, MakeRecordFromRecorder) {
+TEST(QueryLogTest, MakeRecordFromStats) {
+  JoinStats stats = SeededQueryStats();
+  stats.verified_hits = 1;
+  stats.budget_fallbacks = 1;
+  stats.total_time = 0.25;
+  stats.verify_time = 0.125;
   const QueryLogRecord rec =
-      MakeQueryLogRecord(SeededQueryRecorder(), /*connection=*/3, /*seq=*/7,
+      MakeQueryLogRecord(stats, /*connection=*/3, /*seq=*/7,
                          /*query_length=*/22, /*hits=*/3, /*error=*/false);
   EXPECT_EQ(rec.request_id, QueryRequestId(3, 7));
   EXPECT_EQ(rec.connection, 3);
@@ -52,23 +59,25 @@ TEST(QueryLogTest, MakeRecordFromRecorder) {
   EXPECT_EQ(rec.length_band, Histogram::BucketIndex(22));
   EXPECT_EQ(rec.hits, 3);
   EXPECT_FALSE(rec.error);
-#ifndef UJOIN_OBS_DISABLED
   EXPECT_EQ(rec.funnel_entered[0], 49);
   EXPECT_EQ(rec.funnel_survived[0], 4);
+  EXPECT_EQ(rec.funnel_survived[2], 3);
+  EXPECT_EQ(rec.funnel_entered[3], 2);
+  EXPECT_EQ(rec.funnel_survived[3], 1);
   EXPECT_EQ(rec.candidates, 4);
   EXPECT_EQ(rec.verify_worlds, 77250);
-#endif
-  // Caller-overlaid fields start zeroed.
-  EXPECT_EQ(rec.budget_fallbacks, 0);
-  EXPECT_EQ(rec.total_ns, 0);
+  // Fallbacks, verdict and timing come from the same stats.
+  EXPECT_EQ(rec.budget_fallbacks, 1);
+  EXPECT_TRUE(rec.inexact);
+  EXPECT_EQ(rec.total_ns, 250000000);
+  EXPECT_EQ(rec.verify_ns, 125000000);
 }
 
-#ifndef UJOIN_OBS_DISABLED
 // The JSONL line is byte-golden: key order and value formatting are the
 // schema, shared with tools/validate_query_log.py.
 TEST(QueryLogTest, RenderedLineIsByteGolden) {
   QueryLogRecord rec =
-      MakeQueryLogRecord(SeededQueryRecorder(), 3, 7, 22, 3, false);
+      MakeQueryLogRecord(SeededQueryStats(), 3, 7, 22, 3, false);
   rec.total_ns = 5;
   rec.verify_ns = 2;
   EXPECT_EQ(
@@ -84,12 +93,11 @@ TEST(QueryLogTest, RenderedLineIsByteGolden) {
       "\"deadline_fallbacks\":0,\"hits\":3,\"status\":\"ok\","
       "\"inexact\":false,\"timing\":{\"total_ns\":5,\"verify_ns\":2}}\n");
 }
-#endif
 
 TEST(QueryLogTest, DeterministicContentExcludesAttributionAndTiming) {
-  QueryLogRecord a = MakeQueryLogRecord(SeededQueryRecorder(), 1, 1, 22, 3,
+  QueryLogRecord a = MakeQueryLogRecord(SeededQueryStats(), 1, 1, 22, 3,
                                         false);
-  QueryLogRecord b = MakeQueryLogRecord(SeededQueryRecorder(), 4, 9, 22, 3,
+  QueryLogRecord b = MakeQueryLogRecord(SeededQueryStats(), 4, 9, 22, 3,
                                         false);
   a.total_ns = 111;
   b.total_ns = 999999;
@@ -105,7 +113,7 @@ TEST(QueryLogTest, DeterministicContentExcludesAttributionAndTiming) {
 
 TEST(QueryLogTest, ErrorRecordRendersErrorStatus) {
   const QueryLogRecord rec =
-      MakeQueryLogRecord(Recorder{}, 2, 5, 0, 0, /*error=*/true);
+      MakeQueryLogRecord(JoinStats{}, 2, 5, 0, 0, /*error=*/true);
   const std::string line = RenderQueryLogLine(rec);
   EXPECT_NE(line.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(line.find("\"hits\":0"), std::string::npos);
@@ -120,7 +128,7 @@ TEST(QueryLogTest, FileSinkWritesJsonl) {
   // Double-open is a caller bug, reported not ignored.
   EXPECT_FALSE(log.Open(path).ok());
   for (int i = 1; i <= 3; ++i) {
-    log.Write(MakeQueryLogRecord(SeededQueryRecorder(), 0, i, 22, 3, false));
+    log.Write(MakeQueryLogRecord(SeededQueryStats(), 0, i, 22, 3, false));
   }
   EXPECT_EQ(log.records_written(), 3);
   ASSERT_TRUE(log.Close().ok());
@@ -145,7 +153,7 @@ TEST(QueryLogTest, BufferFlushesAndDropsWhenMisused) {
   ASSERT_TRUE(log.Open(path).ok());
   QueryLogBuffer buffer(/*capacity=*/2);
   const QueryLogRecord rec =
-      MakeQueryLogRecord(SeededQueryRecorder(), 0, 1, 22, 3, false);
+      MakeQueryLogRecord(SeededQueryStats(), 0, 1, 22, 3, false);
   buffer.Add(rec);
   EXPECT_FALSE(buffer.full());
   buffer.Add(rec);
@@ -278,9 +286,102 @@ TEST(QueryLogTest, WritesSampleForValidator) {
                   .ok());
   // One hand-built error record too, so the validator's error-path checks
   // run against C++-rendered bytes.
-  log.Write(MakeQueryLogRecord(Recorder{}, 1, 1, 0, 0, /*error=*/true));
+  log.Write(MakeQueryLogRecord(JoinStats{}, 1, 1, 0, 0, /*error=*/true));
   EXPECT_EQ(log.records_written(), 11);
   ASSERT_TRUE(log.Close().ok());
+}
+
+// Each record is a function of its own query's stats: with a world budget
+// tight enough to force CDF fallbacks, every line a SearchMany writes at 1
+// and 4 threads carries the funnel, candidates, verify worlds, fallbacks and
+// verdict of a separate Search of the same query.  k = 3 leaves some pairs
+// undecided by the CDF bound that verification then rejects, so the verify
+// stage's entered and survived counts differ.
+TEST(QueryLogTest, RecordsMatchEachQuerysOwnSearch) {
+  DatasetOptions opt;
+  opt.kind = DatasetOptions::Kind::kNames;
+  opt.size = 90;
+  opt.theta = 0.3;
+  opt.seed = 23;
+  opt.min_length = 4;
+  opt.max_length = 10;
+  opt.max_uncertain_positions = 4;
+  const std::vector<UncertainString> collection =
+      GenerateDataset(opt).strings;
+  Result<SimilaritySearcher> searcher = SimilaritySearcher::Create(
+      collection, Alphabet::Names(), JoinOptions::Qfct(3, 0.1));
+  ASSERT_TRUE(searcher.ok());
+  const std::vector<UncertainString> queries(collection.begin(),
+                                             collection.begin() + 24);
+  SearchLimits limits;
+  limits.max_verify_worlds = 64;
+
+  // The content each record must carry, derived field by field from the
+  // stats of a separate Search of its query.
+  std::vector<std::string> expected;
+  JoinStats totals;
+  for (const UncertainString& query : queries) {
+    JoinStats stats;
+    Recorder rec;
+    Result<std::vector<SearchHit>> hits = searcher->Search(
+        query, &stats, /*workspace=*/nullptr, &rec, /*spans=*/nullptr,
+        &limits);
+    ASSERT_TRUE(hits.ok());
+#ifndef UJOIN_OBS_DISABLED
+    EXPECT_EQ(stats.verify_worlds, rec.hist(Hist::kVerifyWorldCount).sum());
+#endif
+    QueryLogRecord content;
+    content.query_length = query.length();
+    content.length_band = Histogram::BucketIndex(query.length());
+    content.funnel_entered[0] = stats.length_compatible_pairs;
+    content.funnel_survived[0] = stats.qgram_candidates;
+    content.funnel_entered[1] = stats.qgram_candidates;
+    content.funnel_survived[1] = stats.freq_candidates;
+    content.funnel_entered[2] = stats.freq_candidates;
+    content.funnel_survived[2] = stats.freq_candidates - stats.cdf_rejected;
+    content.funnel_entered[3] = stats.verified_pairs;
+    content.funnel_survived[3] = stats.verified_hits;
+    content.candidates = stats.qgram_candidates;
+    content.verify_worlds = stats.verify_worlds;
+    content.budget_fallbacks = stats.budget_fallbacks;
+    content.deadline_fallbacks = stats.deadline_fallbacks;
+    content.hits = static_cast<int64_t>(hits->size());
+    content.inexact = stats.Inexact();
+    const std::string json = DeterministicContentJson(content);
+    expected.push_back(json.substr(1, json.size() - 2));  // drop the braces
+    totals.Merge(stats);
+  }
+  // The workload exercises both sides of the budget and of the verdict.
+  ASSERT_GT(totals.budget_fallbacks, 0);
+  ASSERT_GT(totals.verified_hits, 0);
+  ASSERT_GT(totals.verified_pairs, totals.verified_hits);
+
+  for (int threads : {1, 4}) {
+    const std::string path = ::testing::TempDir() + "query_log_test_own_" +
+                             std::to_string(threads) + ".jsonl";
+    QueryLog log;
+    ASSERT_TRUE(log.Open(path).ok());
+    ASSERT_TRUE(searcher
+                    ->SearchMany(queries, threads, /*stats=*/nullptr,
+                                 /*metrics=*/nullptr, /*trace=*/nullptr,
+                                 &limits, &log)
+                    .ok());
+    ASSERT_TRUE(log.Close().ok());
+    std::ifstream in(path);
+    std::string line;
+    size_t i = 0;
+    while (std::getline(in, line)) {
+      ASSERT_LT(i, expected.size()) << threads;
+      EXPECT_NE(line.find("\"seq\":" + std::to_string(i + 1) + "," +
+                          expected[i] + ",\"timing\""),
+                std::string::npos)
+          << "threads=" << threads << " query " << i << "\n"
+          << line << "\nexpected content " << expected[i];
+      ++i;
+    }
+    EXPECT_EQ(i, queries.size()) << threads;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

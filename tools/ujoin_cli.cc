@@ -768,16 +768,11 @@ int RunSearch(Flags& flags) {
     spans = obs::SpanCollector(trace, /*tid=*/1);
     span_sink = &spans;
   }
-  // A --query-log record needs a per-query recorder even when no other obs
-  // flag attached one.
-  obs::Recorder query_rec;
-  obs::Recorder* rec_ptr = metrics;
-  if (rec_ptr == nullptr && query_log_ptr != nullptr) rec_ptr = &query_rec;
   // SearchTopK has no metric hooks: a --topk report carries stats only.
   Result<std::vector<SearchHit>> hits =
       topk > 0 ? searcher->SearchTopK(*query, topk, &stats)
                : searcher->Search(*query, &stats, /*workspace=*/nullptr,
-                                  rec_ptr, span_sink);
+                                  metrics, span_sink);
   if (!hits.ok()) {
     std::fprintf(stderr, "error: %s\n", hits.status().ToString().c_str());
     return 1;
@@ -790,15 +785,9 @@ int RunSearch(Flags& flags) {
     if (keep) trace->Append(spans.events());
   }
   if (query_log_ptr != nullptr) {
-    obs::QueryLogRecord record = obs::MakeQueryLogRecord(
-        *rec_ptr, /*connection=*/0, /*seq=*/1, query->length(),
-        static_cast<int64_t>(hits->size()), /*error=*/false);
-    record.budget_fallbacks = stats.budget_fallbacks;
-    record.deadline_fallbacks = stats.deadline_fallbacks;
-    record.inexact = stats.Inexact();
-    record.total_ns = query_ns;
-    record.verify_ns = static_cast<int64_t>(stats.verify_time * 1e9);
-    query_log_ptr->Write(record);
+    query_log_ptr->Write(MakeQueryLogRecord(
+        stats, /*connection=*/0, /*seq=*/1, query->length(),
+        static_cast<int64_t>(hits->size()), /*error=*/false));
   }
   for (const SearchHit& hit : *hits) {
     std::printf("%u\t%.6f\t%s\n", hit.id, hit.probability,

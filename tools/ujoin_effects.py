@@ -598,6 +598,11 @@ CONTRACTS = [
             "SimilaritySearcher::Search",
             "SimilaritySearcher::SearchMany",
             "ujoin::SimilaritySelfJoin",
+            # The per-candidate filter-and-verify cascade every driver runs
+            # (join/probe_cascade.h).  It declares no container of its own:
+            # hits go to the caller's vector, whose growth the callers'
+            # allow_nodes entries already cover, so it needs no entry.
+            "internal::RunCascade",
         ],
         "forbid": ["alloc", "lock", "io", "block"],
         "allow_nodes": [
