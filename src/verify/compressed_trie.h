@@ -27,7 +27,8 @@ namespace ujoin {
 /// self-append workload of Figure 9) that overflow the plain trie.
 ///
 /// Nodes are stored level by level: a node's id is larger than its
-/// parent's and children occupy contiguous id ranges.
+/// parent's, parent ids are nondecreasing in node id, and children occupy
+/// contiguous id ranges in their parents' order.
 class CompressedInstanceTrie {
  public:
   struct Node {

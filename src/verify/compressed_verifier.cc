@@ -1,204 +1,74 @@
 #include "verify/compressed_verifier.h"
 
-#include <algorithm>
-#include <set>
+#include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "util/check.h"
-#include "util/math_util.h"
+#include "verify/trie_walk.h"
 
 namespace ujoin {
 
 namespace {
 
-/// A virtual trie position: character `offset` of `node`'s label.  The
-/// sentinel offset -1 on the root denotes the empty prefix ε (it doubles as
-/// "last virtual position" of an empty-label root, which keeps parent
-/// arithmetic uniform).
-struct VirtualNode {
-  int32_t node;
-  int32_t offset;
-
-  friend bool operator<(const VirtualNode& a, const VirtualNode& b) {
-    return a.node != b.node ? a.node < b.node : a.offset < b.offset;
-  }
-  friend bool operator==(const VirtualNode& a, const VirtualNode& b) {
-    return a.node == b.node && a.offset == b.offset;
-  }
-};
-
-struct ActiveEntry {
-  VirtualNode v;
-  int32_t dist;
-};
-
-using ActiveSet = std::vector<ActiveEntry>;  // sorted by VirtualNode
-
-int32_t LookupDistance(const ActiveSet& set, const VirtualNode& v) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), v,
-      [](const ActiveEntry& e, const VirtualNode& key) { return e.v < key; });
-  if (it == set.end() || !(it->v == v)) return -1;
-  return it->dist;
-}
-
-/// Walks the on-demand trie of S against a fixed compressed T_R; mirrors
-/// verifier.cc's TrieWalker, including τ early termination.
-class CompressedTrieWalker {
+/// CompressedInstanceTrie as a TrieWalker view over *virtual* positions:
+/// the prefix of depth d that ends inside node n's label is keyed
+/// (d << 32) | n, and ε is (0, root).  Every depth d >= 1 lies inside the
+/// label of one level, so the positions of a depth are that level's nodes
+/// in id order.  Ordered by (depth, node), parents and children are then
+/// monotone exactly as in the plain BFS-numbered trie, and the full
+/// instances, all at the last depth, come in node order.
+class CompressedTrieView {
  public:
-  CompressedTrieWalker(const CompressedInstanceTrie& trie,
-                       const UncertainString& s, int k, VerifyStats* stats,
-                       double tau = -1.0)
-      : trie_(trie), s_(s), k_(k), tau_(tau), stats_(stats) {}
+  using Key = int64_t;
 
-  double Run() {
-    ActiveSet root_active;
-    // ε at distance 0, then every virtual position of depth <= k.  Virtual
-    // depths ascend along each node's label and across levels, so a
-    // bounded DFS over nodes collects them in (node, offset) order.
-    root_active.push_back(ActiveEntry{VirtualNode{trie_.root(), -1}, 0});
-    CollectShallow(trie_.root(), &root_active);
-    std::sort(root_active.begin(), root_active.end(),
-              [](const ActiveEntry& a, const ActiveEntry& b) {
-                return a.v < b.v;
-              });
-    Recurse(0, 1.0, root_active);
-    return ClampProb(total_);
+  explicit CompressedTrieView(const CompressedInstanceTrie& trie)
+      : trie_(trie) {}
+
+  Key Root() const { return Pack(0, trie_.root()); }
+
+  // Inside a label (or the root's) the parent is the previous character of
+  // the same node; at a label's first character it is the parent node's
+  // last one.
+  Key Parent(Key v) const {
+    const int depth = Depth(v);
+    const int32_t node = Node(v);
+    const bool label_start = depth == trie_.StartDepth(node) + 1;
+    return Pack(depth - 1, label_start && node != trie_.root()
+                               ? trie_.node(node).parent
+                               : node);
   }
 
-  double lower_bound() const { return ClampProb(total_); }
-  double upper_bound() const { return ClampProb(total_ + (1.0 - resolved_)); }
-  bool stopped_early() const { return stopped_; }
+  char Symbol(Key v) const {
+    const int32_t node = Node(v);
+    return trie_.LabelChar(node, Depth(v) - trie_.StartDepth(node) - 1);
+  }
+
+  std::pair<Key, Key> Children(Key v) const {
+    const int depth = Depth(v);
+    const int32_t node = Node(v);
+    if (depth < trie_.EndDepth(node)) {
+      return {Pack(depth + 1, node), Pack(depth + 1, node + 1)};
+    }
+    const CompressedInstanceTrie::Node& n = trie_.node(node);
+    return {Pack(depth + 1, n.first_child),
+            Pack(depth + 1, n.first_child + n.num_children)};
+  }
+
+  // Every position at the last depth ends a leaf node's label.
+  bool IsLeaf(Key v) const { return Depth(v) == trie_.depth(); }
+  double Prob(Key v) const { return trie_.node(Node(v)).prob; }
 
  private:
-  // Depth of the prefix ending at virtual position v.
-  int Depth(const VirtualNode& v) const {
-    return trie_.StartDepth(v.node) + v.offset + 1;
+  static Key Pack(int depth, int32_t node) {
+    return (static_cast<Key>(depth) << 32) | static_cast<Key>(node);
   }
-
-  bool IsFullInstance(const VirtualNode& v) const {
-    return Depth(v) == trie_.depth() && trie_.IsLeafNode(v.node) &&
-           v.offset == trie_.LabelLength(v.node) - 1;
-  }
-
-  // Collects virtual positions of depth <= k_ under `node` (inclusive).
-  void CollectShallow(int32_t node, ActiveSet* out) {
-    const int start = trie_.StartDepth(node);
-    const int len = trie_.LabelLength(node);
-    for (int off = 0; off < len; ++off) {
-      const int depth = start + off + 1;
-      if (depth > k_) return;  // deeper offsets/levels only grow
-      out->push_back(ActiveEntry{VirtualNode{node, off},
-                                 static_cast<int32_t>(depth)});
-    }
-    const auto& n = trie_.node(node);
-    // A child's first virtual position sits at depth start + len + 1.
-    if (start + len + 1 > k_) return;
-    for (int32_t c = 0; c < n.num_children; ++c) {
-      CollectShallow(n.first_child + c, out);
-    }
-  }
-
-  void Recurse(int depth, double prefix_prob, const ActiveSet& active) {
-    if (stats_ != nullptr) {
-      ++stats_->explored_s_nodes;
-      stats_->active_entries += static_cast<int64_t>(active.size());
-    }
-    if (depth == s_.length()) {
-      for (const ActiveEntry& e : active) {
-        if (IsFullInstance(e.v)) {
-          total_ += prefix_prob * trie_.node(e.v.node).prob;
-        }
-      }
-      resolved_ += prefix_prob;
-      MaybeStop();
-      return;
-    }
-    for (const CharProb& cp : s_.AlternativesAt(depth)) {
-      if (stopped_) return;
-      const double child_prob = prefix_prob * cp.prob;
-      ActiveSet child = Extend(active, cp.symbol, depth + 1);
-      if (child.empty()) {
-        resolved_ += child_prob;
-        MaybeStop();
-        continue;
-      }
-      Recurse(depth + 1, child_prob, child);
-    }
-  }
-
-  void MaybeStop() {
-    if (tau_ < 0.0) return;
-    if (total_ > tau_ || total_ + (1.0 - resolved_) <= tau_) stopped_ = true;
-  }
-
-  // The parent virtual position (ε's parent is ε itself; never queried).
-  VirtualNode Parent(const VirtualNode& v) const {
-    if (v.offset > 0 || (v.node == trie_.root() && v.offset == 0)) {
-      return VirtualNode{v.node, v.offset - 1};
-    }
-    const int32_t parent_node = trie_.node(v.node).parent;
-    return VirtualNode{parent_node, trie_.LabelLength(parent_node) - 1};
-  }
-
-  // Appends v's virtual children to `candidates`.
-  void AddChildren(const VirtualNode& v, std::set<VirtualNode>* candidates) {
-    if (v.offset + 1 < trie_.LabelLength(v.node)) {
-      candidates->insert(VirtualNode{v.node, v.offset + 1});
-      return;
-    }
-    const auto& n = trie_.node(v.node);
-    for (int32_t c = 0; c < n.num_children; ++c) {
-      candidates->insert(VirtualNode{n.first_child + c, 0});
-    }
-  }
-
-  ActiveSet Extend(const ActiveSet& active, char c, int new_len) {
-    ActiveSet next;
-    std::set<VirtualNode> candidates;
-    const VirtualNode epsilon{trie_.root(), -1};
-    if (new_len <= k_) candidates.insert(epsilon);
-    for (const ActiveEntry& e : active) {
-      candidates.insert(e.v);
-      AddChildren(e.v, &candidates);
-    }
-    for (auto it = candidates.begin(); it != candidates.end(); ++it) {
-      const VirtualNode v = *it;
-      int32_t best;
-      if (v == epsilon) {
-        best = new_len;  // ed(u·c, ε) = |u·c|
-      } else {
-        best = k_ + 1;
-        const VirtualNode parent = Parent(v);
-        const char vc = trie_.LabelChar(v.node, v.offset);
-        const int32_t parent_du = LookupDistance(active, parent);
-        if (parent_du >= 0) {
-          best = std::min(best, parent_du + (vc == c ? 0 : 1));  // diagonal
-        }
-        const int32_t self_du = LookupDistance(active, v);
-        if (self_du >= 0) best = std::min(best, self_du + 1);  // delete c
-        const int32_t parent_dnext = LookupDistance(next, parent);
-        if (parent_dnext >= 0) {
-          best = std::min(best, parent_dnext + 1);  // insert vc
-        }
-      }
-      if (best > k_) continue;
-      next.push_back(ActiveEntry{v, best});  // set order keeps `next` sorted
-      AddChildren(v, &candidates);  // larger positions: visited later
-    }
-    return next;
-  }
+  static int Depth(Key v) { return static_cast<int>(v >> 32); }
+  static int32_t Node(Key v) { return static_cast<int32_t>(v & 0xffffffff); }
 
   const CompressedInstanceTrie& trie_;
-  const UncertainString& s_;
-  const int k_;
-  const double tau_;
-  VerifyStats* stats_;
-  double total_ = 0.0;
-  double resolved_ = 0.0;
-  bool stopped_ = false;
 };
+
+using CompressedTrieWalker = internal::TrieWalker<CompressedTrieView>;
 
 }  // namespace
 
@@ -214,22 +84,15 @@ Result<CompressedTrieVerifier> CompressedTrieVerifier::Create(
 double CompressedTrieVerifier::Probability(const UncertainString& s,
                                            VerifyStats* stats) const {
   if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  CompressedTrieWalker walker(trie_, s, k_, stats);
-  return walker.Run();
+  return CompressedTrieWalker(CompressedTrieView(trie_), s, k_, stats).Run();
 }
 
 ThresholdVerdict CompressedTrieVerifier::DecideSimilar(
     const UncertainString& s, double tau, VerifyStats* stats) const {
   UJOIN_CHECK(tau >= 0.0 && tau <= 1.0);
   if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  CompressedTrieWalker walker(trie_, s, k_, stats, tau);
-  walker.Run();
-  ThresholdVerdict verdict;
-  verdict.lower = walker.lower_bound();
-  verdict.upper = walker.upper_bound();
-  verdict.exact = !walker.stopped_early();
-  verdict.similar = verdict.lower > tau;
-  return verdict;
+  return CompressedTrieWalker(CompressedTrieView(trie_), s, k_, stats, tau)
+      .Decide();
 }
 
 Result<double> CompressedTrieVerifyProbability(const UncertainString& r,

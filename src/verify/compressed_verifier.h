@@ -13,8 +13,9 @@ namespace ujoin {
 /// Functionally identical to TrieVerifier (exact Pr(ed(R,S) <= k) and
 /// τ-decided verdicts) but with a node budget independent of string length,
 /// extending exact verification to long strings whose plain instance trie
-/// would not fit (see CompressedInstanceTrie).  The walker runs the same
-/// active-node DP over *virtual* nodes (node, label offset).
+/// would not fit (see CompressedInstanceTrie).  The same walker
+/// (verify/trie_walk.h) runs the active-node DP over *virtual* positions,
+/// a prefix depth inside one node's label, ordered by (depth, node).
 class CompressedTrieVerifier {
  public:
   /// Builds the compressed T_R; fails when it exceeds

@@ -19,9 +19,11 @@ namespace ujoin {
 /// probability of all worlds sharing that prefix; leaf probabilities sum
 /// to 1.
 ///
-/// Nodes are stored in BFS order, so a node's id is larger than its
-/// parent's and each node's children occupy a contiguous id range — the
-/// property the verifier exploits to process active sets in id order.
+/// Nodes are stored in BFS order, so ids ascend by depth, a node's id is
+/// larger than its parent's, parent ids are nondecreasing in node id, and
+/// each node's children occupy a contiguous id range, ranges following
+/// their parents' order — the properties the verifier's linear active-set
+/// merge relies on (verify/trie_walk.h).
 class InstanceTrie {
  public:
   struct Node {

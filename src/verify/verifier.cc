@@ -1,171 +1,40 @@
 #include "verify/verifier.h"
 
-#include <algorithm>
-#include <queue>
-#include <vector>
+#include <utility>
 
 #include "text/edit_distance.h"
 #include "text/possible_worlds.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "verify/compressed_verifier.h"
+#include "verify/trie_walk.h"
 
 namespace ujoin {
 
 namespace {
 
-/// One active-node entry: T_R node id and its exact edit distance (<= k)
-/// from the current T_S prefix.
-struct ActiveEntry {
-  int32_t node;
-  int32_t dist;
-};
-
-using ActiveSet = std::vector<ActiveEntry>;  // sorted by node id
-
-// Binary-searches `set` (sorted by node id) for `node`; -1 when absent.
-int32_t LookupDistance(const ActiveSet& set, int32_t node) {
-  auto it = std::lower_bound(
-      set.begin(), set.end(), node,
-      [](const ActiveEntry& e, int32_t id) { return e.node < id; });
-  if (it == set.end() || it->node != node) return -1;
-  return it->dist;
-}
-
-/// Walks the on-demand trie of S against a fixed T_R.
-///
-/// With a threshold τ >= 0 the walk terminates early: `total_` only grows
-/// and `resolved_` tracks the S-prefix mass whose contribution is final, so
-/// total_ > τ certifies "similar" and total_ + (1 - resolved_) <= τ
-/// certifies "not similar".
-class TrieWalker {
+/// InstanceTrie as a TrieWalker view: positions are the trie's BFS ids.
+class PlainTrieView {
  public:
-  TrieWalker(const InstanceTrie& trie, const UncertainString& s, int k,
-             VerifyStats* stats, double tau = -1.0)
-      : trie_(trie), s_(s), k_(k), tau_(tau), stats_(stats) {}
+  using Key = int32_t;
 
-  double Run() {
-    // Active set of the empty S-prefix: every T_R node of depth <= k, at
-    // distance equal to its depth.  BFS ids are level-ordered, so these
-    // nodes form a prefix of the id range.
-    ActiveSet root_active;
-    for (int32_t id = 0; id < trie_.num_nodes(); ++id) {
-      const auto& node = trie_.node(id);
-      if (node.depth > k_) break;
-      root_active.push_back(ActiveEntry{id, node.depth});
-    }
-    Recurse(0, 1.0, root_active);
-    return ClampProb(total_);
-  }
+  explicit PlainTrieView(const InstanceTrie& trie) : trie_(trie) {}
 
-  /// Certified lower / upper bounds after Run() (tight unless stopped).
-  double lower_bound() const { return ClampProb(total_); }
-  double upper_bound() const {
-    return ClampProb(total_ + (1.0 - resolved_));
+  Key Root() const { return trie_.root(); }
+  Key Parent(Key v) const { return trie_.node(v).parent; }
+  char Symbol(Key v) const { return trie_.node(v).symbol; }
+  std::pair<Key, Key> Children(Key v) const {
+    const InstanceTrie::Node& node = trie_.node(v);
+    return {node.first_child, node.first_child + node.num_children};
   }
-  bool stopped_early() const { return stopped_; }
+  bool IsLeaf(Key v) const { return trie_.IsLeaf(v); }
+  double Prob(Key v) const { return trie_.node(v).prob; }
 
  private:
-  void Recurse(int depth, double prefix_prob, const ActiveSet& active) {
-    if (stats_ != nullptr) {
-      ++stats_->explored_s_nodes;
-      stats_->active_entries += static_cast<int64_t>(active.size());
-    }
-    if (depth == s_.length()) {
-      for (const ActiveEntry& e : active) {
-        if (trie_.IsLeaf(e.node)) {
-          total_ += prefix_prob * trie_.node(e.node).prob;
-        }
-      }
-      resolved_ += prefix_prob;
-      MaybeStop();
-      return;
-    }
-    for (const CharProb& cp : s_.AlternativesAt(depth)) {
-      if (stopped_) return;
-      const double child_prob = prefix_prob * cp.prob;
-      ActiveSet child = Extend(active, cp.symbol, depth + 1);
-      if (child.empty()) {
-        // Prefix pruning: the subtree contributes exactly 0.
-        resolved_ += child_prob;
-        MaybeStop();
-        continue;
-      }
-      Recurse(depth + 1, child_prob, child);
-    }
-  }
-
-  void MaybeStop() {
-    if (tau_ < 0.0) return;
-    if (total_ > tau_ || total_ + (1.0 - resolved_) <= tau_) stopped_ = true;
-  }
-
-  /// A(u·c) from A(u): D(u·c, v) = min over match/substitute (diagonal),
-  /// delete c (up), insert symbol(v) (left), exactly the edit-distance DP
-  /// evaluated over trie paths.
-  ///
-  /// Candidate nodes — the root, members of A(u), their children, and the
-  /// children of anything entering A(u·c) (insertion chains) — are visited
-  /// in id order so a node's parent is always resolved before the node.
-  /// Children occupy contiguous BFS id ranges, so the candidate stream is a
-  /// merge of intervals managed by a small binary heap (no per-element
-  /// allocations, unlike a node-based set).
-  ActiveSet Extend(const ActiveSet& active, char c, int new_len) {
-    ActiveSet next;
-    using Range = std::pair<int32_t, int32_t>;  // [current, end)
-    std::priority_queue<Range, std::vector<Range>, std::greater<Range>> heap;
-    auto push_children = [&](int32_t v) {
-      const auto& node = trie_.node(v);
-      if (node.num_children > 0) {
-        heap.push({node.first_child, node.first_child + node.num_children});
-      }
-    };
-    if (new_len <= k_) heap.push({trie_.root(), trie_.root() + 1});
-    for (const ActiveEntry& e : active) {
-      heap.push({e.node, e.node + 1});
-      push_children(e.node);
-    }
-    int32_t last = -1;
-    while (!heap.empty()) {
-      const auto [v, end] = heap.top();
-      heap.pop();
-      if (v + 1 < end) heap.push({v + 1, end});
-      if (v == last) continue;  // ranges may overlap: dedup on pop
-      last = v;
-      int32_t best;
-      if (v == trie_.root()) {
-        best = new_len;  // ed(u·c, ε) = |u·c|
-      } else {
-        const auto& node = trie_.node(v);
-        best = k_ + 1;
-        const int32_t parent_du = LookupDistance(active, node.parent);
-        if (parent_du >= 0) {
-          const int32_t cost = node.symbol == c ? 0 : 1;
-          best = std::min(best, parent_du + cost);  // diagonal
-        }
-        const int32_t self_du = LookupDistance(active, v);
-        if (self_du >= 0) best = std::min(best, self_du + 1);  // delete c
-        const int32_t parent_dnext = LookupDistance(next, node.parent);
-        if (parent_dnext >= 0) {
-          best = std::min(best, parent_dnext + 1);  // insert symbol(v)
-        }
-      }
-      if (best > k_) continue;
-      next.push_back(ActiveEntry{v, best});  // ids ascend: `next` stays sorted
-      push_children(v);
-    }
-    return next;
-  }
-
   const InstanceTrie& trie_;
-  const UncertainString& s_;
-  const int k_;
-  const double tau_;  // negative disables early termination
-  VerifyStats* stats_;
-  double total_ = 0.0;     // accumulated matching mass (only grows)
-  double resolved_ = 0.0;  // S-prefix mass with a final contribution
-  bool stopped_ = false;
 };
+
+using TrieWalker = internal::TrieWalker<PlainTrieView>;
 
 }  // namespace
 
@@ -180,8 +49,7 @@ Result<TrieVerifier> TrieVerifier::Create(const UncertainString& r, int k,
 double TrieVerifier::Probability(const UncertainString& s,
                                  VerifyStats* stats) const {
   if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  TrieWalker walker(trie_, s, k_, stats);
-  return walker.Run();
+  return TrieWalker(PlainTrieView(trie_), s, k_, stats).Run();
 }
 
 ThresholdVerdict TrieVerifier::DecideSimilar(const UncertainString& s,
@@ -189,15 +57,7 @@ ThresholdVerdict TrieVerifier::DecideSimilar(const UncertainString& s,
                                              VerifyStats* stats) const {
   UJOIN_CHECK(tau >= 0.0 && tau <= 1.0);
   if (stats != nullptr) stats->r_trie_nodes += trie_.num_nodes();
-  TrieWalker walker(trie_, s, k_, stats, tau);
-  walker.Run();
-  ThresholdVerdict verdict;
-  verdict.lower = walker.lower_bound();
-  verdict.upper = walker.upper_bound();
-  verdict.exact = !walker.stopped_early();
-  verdict.similar = verdict.lower > tau;
-  UJOIN_DCHECK(verdict.similar || verdict.upper <= tau || verdict.exact);
-  return verdict;
+  return TrieWalker(PlainTrieView(trie_), s, k_, stats, tau).Decide();
 }
 
 Result<double> TrieVerifyProbability(const UncertainString& r,

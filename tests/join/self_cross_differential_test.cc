@@ -9,6 +9,7 @@
 // stays the independent reference for the cascade itself.
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <utility>
 #include <vector>
@@ -48,6 +49,10 @@ struct VariantCase {
   const char* name;
   JoinOptions options;
 };
+
+// Without a printer gtest lists the parameter as a byte dump that starts with
+// the `name` pointer, so the listed test name would change from run to run.
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
 
 class SelfCrossDifferentialTest : public ::testing::TestWithParam<VariantCase> {
 };
