@@ -145,8 +145,8 @@ CdfBounds ComputeCdfBounds(const UncertainString& r, const UncertainString& s,
         }
       }
 
-      // The k+1 (L[j], U[j]) lanes of this cell, as one vectorized kernel
-      // call (bit-identical to the scalar recurrence; see util/simd.h).
+      // The k+1 (L[j], U[j]) lanes of this cell, as one kernel call (see
+      // util/simd.h).
       // Safe despite lsel/u2 possibly pointing into the row being written:
       // the kernel writes band offset d and reads offset d-1, which ends
       // before the written range begins.

@@ -18,7 +18,7 @@ void RunEventDp(std::span<const double> alphas, std::vector<double>* dist) {
     UJOIN_DCHECK(alpha >= 0.0 && alpha <= 1.0);
     ++upto;
     // One folded event per call; the row update is a pure shift-and-blend
-    // over old values, vectorized in util/simd.h with bit-identical lanes.
+    // over old values (util/simd.h).
     simd::EventDpStep(alpha, upto, row);
   }
 }

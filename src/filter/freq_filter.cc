@@ -64,10 +64,9 @@ FrequencySummary FrequencySummary::Build(const UncertainString& s,
       head += summary.pmf[x];
     }
     // Σ y·pmf[y] via the 4-slot dot kernel.  The tail/scaled_tail/scaled_head
-    // scans above stay scalar on purpose: each element depends on the
-    // previous one, so they are inherently sequential; the vectorizable
-    // frequency-distance math is the dot products consuming these arrays
-    // (here and in ExpectedPositivePart).
+    // scans above are prefix sums: each element depends on the previous
+    // one; the fold-ordered frequency-distance math is the dot products
+    // consuming these arrays (here and in ExpectedPositivePart).
     const double mean_uncertain =
         n > 1 ? simd::IotaDotSlots(summary.pmf.data() + 1, 1, n - 1) : 0.0;
     summary.expected = summary.certain_count + mean_uncertain;

@@ -22,7 +22,7 @@ uint64_t Fingerprint64(const void* data, size_t len) {
   // algorithm itself lives in the kernel layer so the batched variant
   // (simd::Fingerprint64Batch) and this single-key path share one
   // definition and can never drift.
-  return simd::scalar::Fingerprint64(data, len);
+  return simd::Fingerprint64(data, len);
 }
 
 FlatPostings::FlatPostings(int key_length, FingerprintFn fingerprint)

@@ -237,7 +237,7 @@ std::string RenderExplainJson(const SimilaritySearcher& searcher,
   w.Int(stats.deadline_fallbacks);
   w.EndObject();
   w.Key("simd_isa");
-  w.String(simd::ActiveIsaName());
+  w.String(simd::kIsaName);
   if (include_timing) {
     // Wall clock, appended last so `--no-timing` yields a prefix-stable,
     // byte-reproducible envelope (the registry's ns-exclusion discipline).
@@ -284,7 +284,7 @@ std::string RenderExplainNarrative(const SimilaritySearcher& searcher,
          std::to_string(searcher.collection().size()) +
          " strings, k=" + std::to_string(options.k) +
          " tau=" + JsonWriter::FormatDouble(options.tau) +
-         " q=" + std::to_string(options.q) + " [" + simd::ActiveIsaName() +
+         " q=" + std::to_string(options.q) + " [" + simd::kIsaName +
          "]\n";
   for (const ExplainProbe& probe : result.data.probes) {
     out += "  probe length " + std::to_string(probe.length) + ": " +

@@ -50,7 +50,7 @@ enum class ExplainStage {
   kFreqUpperPruned,   ///< frequency upper bound <= tau
   kCdfRejected,       ///< CDF upper bound <= tau
   kCdfAccepted,       ///< CDF lower bound > tau, verification skipped
-  kBudgetFallback,    ///< world budget exceeded, decided from CDF bound
+  kBudgetFallback,    ///< world budget or verify caps exceeded; CDF bound
   kDeadlineFallback,  ///< deadline exceeded, decided from CDF bound
   kVerified,          ///< exact (or early-stopped) trie verification
 };

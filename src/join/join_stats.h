@@ -46,8 +46,11 @@ struct JoinStats {
   /// world enumeration the trie verification stood in for.
   int64_t verify_worlds = 0;
   /// Candidates whose exact verification was skipped because the
-  /// possible-world product exceeded SearchLimits::max_verify_worlds (the
-  /// pair was decided from its CDF bounds instead; results may be inexact).
+  /// possible-world product exceeded SearchLimits::max_verify_worlds, or
+  /// failed because the pair exceeded every VerifyOptions cap
+  /// (max_trie_nodes for the plain and compressed tries, max_world_pairs
+  /// for naive enumeration).  The pair was decided from its CDF lower
+  /// bound instead; results may be inexact.
   int64_t budget_fallbacks = 0;
   /// Candidates skipped because SearchLimits::deadline_ns expired.
   int64_t deadline_fallbacks = 0;

@@ -95,23 +95,16 @@ Status RunCascade(const ProbeCascade& probe,
     if (r_worlds < 0) r_worlds = probe.r.WorldCount();
     const int64_t pair_worlds = SaturatingMul(r_worlds, s.WorldCount());
 
-    // Per-query limits (the serve layer's deadline / verification budget):
-    // when this pair's exact verification is forbidden, decide it from the
-    // certified CDF lower bound instead and mark the query inexact.  The
-    // budget is a pure function of the two strings, so budget-limited
-    // results stay deterministic; the deadline is wall-clock and is not.
-    const bool over_budget =
-        ExceedsWorldBudget(pair_worlds, limits.max_verify_worlds);
-    const bool over_deadline =
-        !over_budget && limits.deadline_ns > 0 &&
-        probe.clock->ElapsedNanos() > limits.deadline_ns;
-    if (over_budget || over_deadline) {
+    // Decides the pair from its certified CDF lower bound instead of exact
+    // verification, marking the result inexact: the pair is emitted iff
+    // the bound exceeds τ, with exact = false.
+    const auto fall_back = [&](ExplainStage stage) {
       if (!have_cdf) {
         ScopedNanoTimer timer(&ns.cdf);
         cdf_lower = EvaluateCdfFilter(probe.r, s, options.k, options.tau)
                         .bounds.lower[k];
       }
-      if (over_budget) {
+      if (stage == ExplainStage::kBudgetFallback) {
         ++stats->budget_fallbacks;
       } else {
         ++stats->deadline_fallbacks;
@@ -119,17 +112,28 @@ Status RunCascade(const ProbeCascade& probe,
       if (ec != nullptr) {
         ec->have_cdf = true;
         ec->cdf_lower = cdf_lower;
-        ec->stage = over_budget ? ExplainStage::kBudgetFallback
-                                : ExplainStage::kDeadlineFallback;
+        ec->stage = stage;
       }
       if (cdf_lower > options.tau) emit(cdf_lower, /*exact=*/false);
+    };
+
+    // Per-query limits (the serve layer's deadline / verification budget):
+    // when this pair's exact verification is forbidden, decide it from the
+    // certified CDF lower bound instead.  The budget is a pure function of
+    // the two strings, so budget-limited results stay deterministic; the
+    // deadline is wall-clock and is not.
+    if (ExceedsWorldBudget(pair_worlds, limits.max_verify_worlds)) {
+      fall_back(ExplainStage::kBudgetFallback);
+      continue;
+    }
+    if (limits.deadline_ns > 0 &&
+        probe.clock->ElapsedNanos() > limits.deadline_ns) {
+      fall_back(ExplainStage::kDeadlineFallback);
       continue;
     }
 
     UJOIN_OBS_FLIGHT_EVENT(obs::FlightEvent::kVerifyBegin, pair_worlds, 0);
     Timer verify_timer;
-    ++stats->verified_pairs;
-    stats->verify_worlds = SaturatingAdd(stats->verify_worlds, pair_worlds);
     const int64_t nodes_before = stats->verify_stats.explored_s_nodes;
     Result<ThresholdVerdict> verdict =
         verifier.Decide(s, options.tau, &stats->verify_stats);
@@ -139,7 +143,18 @@ Status RunCascade(const ProbeCascade& probe,
     UJOIN_OBS_HIST(rec, obs::Hist::kExploredTrieNodes,
                    stats->verify_stats.explored_s_nodes - nodes_before);
     UJOIN_OBS_HIST(rec, obs::Hist::kVerifyWorldCount, pair_worlds);
-    if (!verdict.ok()) return verdict.status();
+    // A pair over every VerifyOptions cap (T_R nodes, compressed nodes,
+    // naive world pairs) cannot be verified exactly at all; it falls back
+    // like a pair over the per-query budget instead of failing the call.
+    if (!verdict.ok()) {
+      if (verdict.status().code() != StatusCode::kResourceExhausted) {
+        return verdict.status();
+      }
+      fall_back(ExplainStage::kBudgetFallback);
+      continue;
+    }
+    ++stats->verified_pairs;
+    stats->verify_worlds = SaturatingAdd(stats->verify_worlds, pair_worlds);
     if (ec != nullptr) {
       ec->stage = ExplainStage::kVerified;
       ec->verify_worlds = pair_worlds;

@@ -319,7 +319,7 @@ void FlightRecorder::DumpToFd(int fd, const FlightDumpOptions& options) const {
   SinkRaw(fd, buf, &len, ",\"build\":{\"compiler\":\"");
   SinkRaw(fd, buf, &len, __VERSION__);
   SinkRaw(fd, buf, &len, "\",\"simd_isa\":\"");
-  SinkRaw(fd, buf, &len, simd::ActiveIsaName());
+  SinkRaw(fd, buf, &len, simd::kIsaName);
   SinkRaw(fd, buf, &len, "\"},\"dropped_events\":");
   SinkInt(fd, buf, &len, dropped_.load(std::memory_order_relaxed));
   SinkRaw(fd, buf, &len, ",\"threads_registered\":");

@@ -37,8 +37,8 @@ namespace obs {
 // The dump is the versioned "ujoin.flight_record" JSON document (see
 // DESIGN.md "Flight recorder and watchdog" and
 // tools/validate_flight_record.py): per-thread recent events, the event
-// registry snapshot (per-kind totals + drop count), build info, and the
-// active SIMD instruction set.
+// registry snapshot (per-kind totals + drop count), and build info
+// (compiler and kernel form).
 //
 // Ring sizing: kMaxThreadSlots covers the worker crews this repo ever
 // starts (join workers + serve crew + watchdog + main); kEventsPerThread

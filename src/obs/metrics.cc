@@ -31,7 +31,8 @@ constexpr MetricInfo kCounterInfo[kNumCounters] = {
     {"probes", "count", "probes executed against the segment index"},
     {"queries", "count", "similarity-search queries answered"},
     {"verify_budget_fallbacks", "count",
-     "candidates decided from CDF bounds under the world-count budget"},
+     "candidates decided from CDF bounds under the world-count budget or "
+     "over the VerifyOptions caps"},
     {"verify_deadline_fallbacks", "count",
      "candidates decided from CDF bounds after the per-query deadline"},
     {"serve_connections", "count", "connections accepted by the serve layer"},

@@ -65,7 +65,8 @@ enum class Counter : int {
   /// Queries answered by SimilaritySearcher::Search/SearchMany.
   kQueries,
   /// Candidates decided from CDF bounds because the possible-world product
-  /// exceeded SearchLimits::max_verify_worlds.
+  /// exceeded SearchLimits::max_verify_worlds or the pair exceeded every
+  /// VerifyOptions cap (max_trie_nodes, max_world_pairs).
   kVerifyBudgetFallbacks,
   /// Candidates decided from CDF bounds because the per-query deadline
   /// (SearchLimits::deadline_ns) expired.
@@ -80,10 +81,11 @@ enum class Counter : int {
   kServeRequestErrors,
   /// Query batches completed (metric-snapshot boundaries).
   kServeBatches,
-  // Per-kernel wall time of the vectorized probe-path loops (util/simd.h),
-  // in nanoseconds.  Like the latency histograms these carry wall-clock
-  // values, so they are excluded from cross-run bit-identity comparisons
-  // (unit "ns"); their *fold* is still the deterministic int64 sum.
+  // Wall time of the probe-path kernels (util/simd.h) and the loops that
+  // call them, in nanoseconds.  Like the latency histograms these carry
+  // wall-clock values, so they are excluded from cross-run bit-identity
+  // comparisons (unit "ns"); their *fold* is still the deterministic int64
+  // sum.
   /// CDF-bound filter evaluation: the banded DP cell kernel (Theorem 4).
   kKernelCdfDpNs,
   /// Stage-2 merged-list scan incl. the event-count DP kernel (Theorem 2).

@@ -18,11 +18,10 @@ std::string RenderRunReport(std::string_view command,
   w.Int(kRunReportSchemaVersion);
   w.Key("command");
   w.String(command);
-  // Which kernel dispatch the producing process ran with (util/simd.h):
-  // "avx2", "sse2", "neon", or "scalar".  Machine metadata, not a result —
-  // readers comparing reports across hosts should expect it to differ.
+  // The kernel form the producing build runs (util/simd.h): "scalar", the
+  // one portable form every target runs.
   w.Key("simd_isa");
-  w.String(simd::ActiveIsaName());
+  w.String(simd::kIsaName);
   for (const ReportSection& section : sections) {
     w.Key(section.key);
     w.RawValue(section.json);

@@ -105,7 +105,7 @@ std::string RenderServeHealth(const SimilaritySearcher& searcher) {
   w.Key("searcher_format_version");
   w.Int(static_cast<int64_t>(kSearcherFormatVersion));
   w.Key("simd_isa");
-  w.String(simd::ActiveIsaName());
+  w.String(simd::kIsaName);
   w.Key("obs");
 #ifdef UJOIN_OBS_DISABLED
   w.Bool(false);

@@ -143,7 +143,7 @@ std::string RenderErrorResponse(int64_t seq, std::string_view message);
 std::string RenderBusyResponse();
 
 /// Renders the serve layer's /healthz body: a JSON build-info block
-/// (status, searcher format version, SIMD ISA, obs on/off, metrics schema,
+/// (status, searcher format version, kernel form, obs on/off, metrics schema,
 /// collection and index shape) so operators can identify what is serving.
 /// Newline-terminated, byte-deterministic for a fixed build and searcher.
 std::string RenderServeHealth(const SimilaritySearcher& searcher);

@@ -5,75 +5,33 @@
 #include <cstdint>
 
 // ---------------------------------------------------------------------------
-// Vectorized kernel layer for the probe-path hot loops.
+// Kernels for the probe-path hot loops: the CDF banded-DP cell (Theorem 4),
+// the event-count DP row (Theorem 2), the two frequency-distance sums
+// (Theorem 3) and the batched index fingerprint.  Each has one portable
+// body that every target compiles and runs (DESIGN.md "Probe-path
+// kernels").
 //
-// This header is the only place in the tree allowed to touch ISA intrinsics
-// (enforced by tools/ujoin_lint.py, rule `simd-intrinsics`).  It exposes a
-// small set of kernels, each in three forms:
+// Two rules keep the output bits the same on every target:
+//  * reductions use a fixed 4-slot fold (term i goes to slot i%4, slots
+//    combine as (s0+s1)+(s2+s3)): the summation order is written in the
+//    source, and the four independent accumulators let the compiler
+//    overlap or vectorize the loop without reassociating a sum;
+//  * the build pins -ffp-contract=off, so no compiler fuses a mul+add pair
+//    into an FMA that rounds once instead of twice.
 //
-//  * `scalar::Kernel(...)`  — the reference implementation, always compiled,
-//    plain portable C++.  This is the semantic definition of the kernel.
-//  * `detail::KernelSse2/KernelAvx2/KernelNeon(...)` — ISA variants.  Every
-//    variant computes bit-identical results to the scalar reference (see
-//    DESIGN.md "SIMD kernels" for the argument; the differential ctest
-//    `simd_kernel_test` enforces it on random + adversarial inputs).
-//  * `Kernel(...)` — the dispatched entry point the pipeline calls.  It
-//    selects the widest variant the CPU supports at run time (AVX2 via
-//    __builtin_cpu_supports on x86-64, NEON on aarch64), and falls back to
-//    the scalar reference everywhere else — including when the tree is
-//    configured with -DUJOIN_SIMD=off (UJOIN_SIMD_DISABLED).
-//
-// Bit-identity ground rules every variant obeys:
-//  * per-lane operations only, in the scalar per-lane expression order
-//    (the build pins -ffp-contract=off, so no FMA contraction can merge a
-//    mul+add pair the scalar code keeps separate);
-//  * reductions use the fixed 4-slot fold defined by the scalar reference
-//    (slot i%4, combined as (s0+s1)+(s2+s3)) so the result is independent
-//    of the vector width;
-//  * min/max lanes hold non-negative finite values, where _mm_min_pd /
-//    _mm_max_pd agree bit-for-bit with std::min / std::max (the two differ
-//    only on NaN and on -0.0 vs +0.0 operands, which cannot occur here:
-//    every lane is a product/sum of probabilities in [0, 1]).
-//
-// None of the kernels allocates; all write only through caller-provided
-// pointers, preserving the steady-state zero-allocation probe path.
+// This header is also the only place in the tree allowed to emit
+// `__builtin_prefetch` or ISA intrinsics (tools/ujoin_lint.py, rule
+// `simd-intrinsics`).  None of the kernels allocates; all write only
+// through caller-provided pointers, preserving the steady-state
+// zero-allocation probe path.
 // ---------------------------------------------------------------------------
-
-#if !defined(UJOIN_SIMD_DISABLED)
-#if defined(__x86_64__) || defined(_M_X64)
-#define UJOIN_SIMD_X86 1
-#include <immintrin.h>  // SSE2 baseline + AVX2 target-attribute variants
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define UJOIN_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-#endif  // !defined(UJOIN_SIMD_DISABLED)
 
 namespace ujoin {
 namespace simd {
 
-/// Instruction set the dispatcher selected for this process.
-enum class Isa : int { kScalar = 0, kSse2, kAvx2, kNeon };
-
-namespace detail {
-// Detected once at static initialization (simd.cc); reads are branch-free.
-extern const Isa kActiveIsa;
-}  // namespace detail
-
-/// The instruction set every dispatched kernel below will use.
-inline Isa ActiveIsa() { return detail::kActiveIsa; }
-
-/// Human-readable name of ActiveIsa(): "scalar", "sse2", "avx2", or "neon".
-/// Surfaces in the ujoin.run_report envelope ("simd_isa") and in
-/// `ujoin_cli simd-info`.
-const char* ActiveIsaName();
-
-// ---------------------------------------------------------------------------
-// Scalar reference kernels.  These define the semantics; every ISA variant
-// must match them bit-for-bit.
-// ---------------------------------------------------------------------------
-
-namespace scalar {
+/// The kernel form every build runs.  Recorded as "simd_isa" in the run
+/// report, /healthz, the explain envelope and the flight record.
+inline constexpr char kIsaName[] = "scalar";
 
 /// CDF banded-DP cell update (Theorem 4, cdf_filter.cc).  Computes the
 /// `width` = k+1 (L[j], U[j]) bound lanes of one band cell from its three
@@ -106,8 +64,7 @@ inline double CdfCellUpdate(const double* l1, const double* u1,
 /// probability `alpha` into `dist[0..upto]` in place:
 ///   dist[j] = alpha * dist[j-1] + (1-alpha) * dist[j]   for j = upto..1,
 ///   dist[0] *= 1 - alpha.
-/// Each new lane depends only on old lanes j-1 and j, so any descending
-/// block order computes the same bits.
+/// Each new lane depends only on old lanes j-1 and j.
 inline void EventDpStep(double alpha, int upto, double* dist) {
   const double beta = 1.0 - alpha;
   for (int j = upto; j >= 1; --j) {
@@ -116,11 +73,8 @@ inline void EventDpStep(double alpha, int upto, double* dist) {
   dist[0] *= beta;
 }
 
-/// Dot product Σ a[i]·b[i] with the layer's fixed 4-slot fold: term i goes
-/// to slot i%4 in ascending i order; slots combine as (s0+s1)+(s2+s3).
-/// The fold is the kernel's contract — scalar, SSE2 (two 2-lane
-/// accumulators) and AVX2 (one 4-lane accumulator) all produce the slots,
-/// and therefore the result, bit-for-bit.
+/// Dot product Σ a[i]·b[i] with the fixed 4-slot fold: term i goes to slot
+/// i%4 in ascending i order; slots combine as (s0+s1)+(s2+s3).
 inline double DotSlots(const double* a, const double* b, size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   size_t i = 0;
@@ -138,9 +92,7 @@ inline double DotSlots(const double* a, const double* b, size_t n) {
 
 /// Weighted index sum Σ a[i]·double(k0+i) with the same 4-slot fold as
 /// DotSlots.  double(k0+i) is exact for the count-sized integers the
-/// frequency summaries use, and equals double(k0)+double(i) bit-for-bit
-/// (both addends are exactly representable integers), which is what the
-/// vector variants compute.
+/// frequency summaries use.
 inline double IotaDotSlots(const double* a, int k0, size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   size_t i = 0;
@@ -160,6 +112,17 @@ inline double IotaDotSlots(const double* a, int k0, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
+// splitmix64 finalizer: spreads short keys across the low bits the slot
+// mask consumes.
+inline uint64_t SplitmixFinalize(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
+
 /// The index fingerprint (FNV-1a + splitmix64 finalizer), byte-for-byte the
 /// algorithm FlatPostings uses.  flat_postings.cc's public Fingerprint64
 /// forwards here so the batched kernel and the single-key path can never
@@ -171,375 +134,49 @@ inline uint64_t Fingerprint64(const void* data, size_t len) {
     h ^= p[i];
     h *= 0x100000001b3ULL;
   }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  return SplitmixFinalize(h);
 }
 
 /// Batched fingerprints: out[i] = Fingerprint64(keys[i], len).  All keys
-/// share one length (segment keys have the segment's fixed length).
+/// share one length (segment keys have the segment's fixed length).  Four
+/// keys advance together, breaking the serial multiply chain of one FNV
+/// hash (~3 cycles/byte) into four independent chains the core overlaps;
+/// integer math, so the result is the single-key one bit for bit.
 inline void Fingerprint64Batch(const char* const* keys, size_t len,
                                size_t count, uint64_t* out) {
-  for (size_t i = 0; i < count; ++i) out[i] = Fingerprint64(keys[i], len);
-}
-
-}  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// ISA variants.  SSE2/NEON variants are inline here (always compilable at
-// the baseline target); AVX2 variants live in simd.cc behind
-// __attribute__((target("avx2"))) and are only called when
-// __builtin_cpu_supports("avx2") said so at startup.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-// Interleaved-FNV core shared by every batched fingerprint variant: four
-// keys advance together, breaking the serial multiply dependency chain of
-// one hash (~3 cycles/byte) into four independent chains the core can
-// overlap.  Integer math — trivially bit-identical to the scalar reference.
-// The finalizer is left to the caller (vectorized under AVX2).
-inline void Fnv4(const unsigned char* p0, const unsigned char* p1,
-                 const unsigned char* p2, const unsigned char* p3, size_t len,
-                 uint64_t* h) {
-  uint64_t h0 = 0xcbf29ce484222325ULL, h1 = h0, h2 = h0, h3 = h0;
-  for (size_t b = 0; b < len; ++b) {
-    h0 = (h0 ^ p0[b]) * 0x100000001b3ULL;
-    h1 = (h1 ^ p1[b]) * 0x100000001b3ULL;
-    h2 = (h2 ^ p2[b]) * 0x100000001b3ULL;
-    h3 = (h3 ^ p3[b]) * 0x100000001b3ULL;
-  }
-  h[0] = h0;
-  h[1] = h1;
-  h[2] = h2;
-  h[3] = h3;
-}
-
-// splitmix64 finalizer, scalar form.
-inline uint64_t SplitmixFinalize(uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-// Batched fingerprints via the interleaved core: plain portable C++, used
-// by every vector dispatch.  Measured finding (BENCH_simd.json): a vector
-// splitmix finalizer — 64x64 low multiplies emulated from 32x32 products —
-// loses to four scalar imuls (the h[4] store/reload adds a store-forward
-// round trip, and out-of-order execution already overlaps the scalar
-// finalizer chains), so the interleaved FNV core carries the whole win.
-inline void Fingerprint64BatchInterleaved(const char* const* keys, size_t len,
-                                          size_t count, uint64_t* out) {
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    Fnv4(reinterpret_cast<const unsigned char*>(keys[i]),
-         reinterpret_cast<const unsigned char*>(keys[i + 1]),
-         reinterpret_cast<const unsigned char*>(keys[i + 2]),
-         reinterpret_cast<const unsigned char*>(keys[i + 3]), len, out + i);
-    out[i] = SplitmixFinalize(out[i]);
-    out[i + 1] = SplitmixFinalize(out[i + 1]);
-    out[i + 2] = SplitmixFinalize(out[i + 2]);
-    out[i + 3] = SplitmixFinalize(out[i + 3]);
+    const unsigned char* p0 = reinterpret_cast<const unsigned char*>(keys[i]);
+    const unsigned char* p1 =
+        reinterpret_cast<const unsigned char*>(keys[i + 1]);
+    const unsigned char* p2 =
+        reinterpret_cast<const unsigned char*>(keys[i + 2]);
+    const unsigned char* p3 =
+        reinterpret_cast<const unsigned char*>(keys[i + 3]);
+    uint64_t h0 = 0xcbf29ce484222325ULL, h1 = h0, h2 = h0, h3 = h0;
+    for (size_t b = 0; b < len; ++b) {
+      h0 = (h0 ^ p0[b]) * 0x100000001b3ULL;
+      h1 = (h1 ^ p1[b]) * 0x100000001b3ULL;
+      h2 = (h2 ^ p2[b]) * 0x100000001b3ULL;
+      h3 = (h3 ^ p3[b]) * 0x100000001b3ULL;
+    }
+    out[i] = SplitmixFinalize(h0);
+    out[i + 1] = SplitmixFinalize(h1);
+    out[i + 2] = SplitmixFinalize(h2);
+    out[i + 3] = SplitmixFinalize(h3);
   }
-  for (; i < count; ++i) out[i] = scalar::Fingerprint64(keys[i], len);
-}
-
-#if defined(UJOIN_SIMD_X86)
-
-inline double CdfCellUpdateSse2(const double* l1, const double* u1,
-                                const double* u2, const double* u3,
-                                const double* lsel, double p1, double p2,
-                                int width, double* lo, double* up) {
-  // Lane 0 reads the implicit -1 neighbors as 0; keep it scalar.
-  lo[0] = p1 * l1[0] < p2 * 0.0 ? p2 * 0.0 : p1 * l1[0];
-  const double sum0 = p1 * u1[0] + p2 * 0.0 + 0.0 + 0.0;
-  up[0] = sum0 < 1.0 ? sum0 : 1.0;
-  double cell_max = 0.0 < up[0] ? up[0] : 0.0;
-  const __m128d vp1 = _mm_set1_pd(p1);
-  const __m128d vp2 = _mm_set1_pd(p2);
-  const __m128d vone = _mm_set1_pd(1.0);
-  __m128d vmax = _mm_setzero_pd();
-  int j = 1;
-  for (; j + 1 < width; j += 2) {
-    const __m128d vlo = _mm_max_pd(_mm_mul_pd(vp1, _mm_loadu_pd(l1 + j)),
-                                   _mm_mul_pd(vp2, _mm_loadu_pd(lsel + j - 1)));
-    _mm_storeu_pd(lo + j, vlo);
-    __m128d t = _mm_mul_pd(vp1, _mm_loadu_pd(u1 + j));
-    t = _mm_add_pd(t, _mm_mul_pd(vp2, _mm_loadu_pd(u1 + j - 1)));
-    t = _mm_add_pd(t, _mm_loadu_pd(u2 + j - 1));
-    t = _mm_add_pd(t, _mm_loadu_pd(u3 + j - 1));
-    const __m128d vup = _mm_min_pd(vone, t);
-    _mm_storeu_pd(up + j, vup);
-    vmax = _mm_max_pd(vmax, vup);
-  }
-  const __m128d vmax_hi = _mm_unpackhi_pd(vmax, vmax);
-  const double m = _mm_cvtsd_f64(_mm_max_sd(vmax, vmax_hi));
-  cell_max = cell_max < m ? m : cell_max;
-  for (; j < width; ++j) {
-    lo[j] = p1 * l1[j] < p2 * lsel[j - 1] ? p2 * lsel[j - 1] : p1 * l1[j];
-    const double sum = p1 * u1[j] + p2 * u1[j - 1] + u2[j - 1] + u3[j - 1];
-    up[j] = sum < 1.0 ? sum : 1.0;
-    cell_max = cell_max < up[j] ? up[j] : cell_max;
-  }
-  return cell_max;
-}
-
-inline void EventDpStepSse2(double alpha, int upto, double* dist) {
-  const double beta = 1.0 - alpha;
-  const __m128d va = _mm_set1_pd(alpha);
-  const __m128d vb = _mm_set1_pd(beta);
-  int j = upto;
-  // Descending 2-lane blocks [j-1, j]: each block reads only lanes the
-  // blocks above it did not write (they wrote >= j+1), so in-place is safe.
-  for (; j >= 2; j -= 2) {
-    const __m128d cur = _mm_loadu_pd(dist + j - 1);
-    const __m128d prev = _mm_loadu_pd(dist + j - 2);
-    _mm_storeu_pd(dist + j - 1,
-                  _mm_add_pd(_mm_mul_pd(va, prev), _mm_mul_pd(vb, cur)));
-  }
-  for (; j >= 1; --j) dist[j] = alpha * dist[j - 1] + beta * dist[j];
-  dist[0] *= beta;
-}
-
-inline double DotSlotsSse2(const double* a, const double* b, size_t n) {
-  // Two 2-lane accumulators hold the contract's slots (s0,s1) and (s2,s3).
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01,
-                       _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    acc23 = _mm_add_pd(
-        acc23, _mm_mul_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2)));
-  }
-  double s[4];
-  _mm_storeu_pd(s + 0, acc01);
-  _mm_storeu_pd(s + 2, acc23);
-  for (; i < n; ++i) s[i & 3] += a[i] * b[i];
-  return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-inline double IotaDotSlotsSse2(const double* a, int k0, size_t n) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  const __m128d four = _mm_set1_pd(4.0);
-  // double(k0 + i) == double(k0) + double(i) exactly (integer-valued
-  // doubles), so the lanes can carry a running index vector.
-  __m128d idx01 = _mm_set_pd(static_cast<double>(k0) + 1.0,
-                             static_cast<double>(k0));
-  __m128d idx23 = _mm_set_pd(static_cast<double>(k0) + 3.0,
-                             static_cast<double>(k0) + 2.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_loadu_pd(a + i), idx01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_loadu_pd(a + i + 2), idx23));
-    idx01 = _mm_add_pd(idx01, four);
-    idx23 = _mm_add_pd(idx23, four);
-  }
-  double s[4];
-  _mm_storeu_pd(s + 0, acc01);
-  _mm_storeu_pd(s + 2, acc23);
-  for (; i < n; ++i) {
-    s[i & 3] += a[i] * static_cast<double>(k0 + static_cast<int>(i));
-  }
-  return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-// AVX2 variants (simd.cc, compiled with target("avx2"), dispatched only
-// when the CPU supports it).
-double CdfCellUpdateAvx2(const double* l1, const double* u1, const double* u2,
-                         const double* u3, const double* lsel, double p1,
-                         double p2, int width, double* lo, double* up);
-void EventDpStepAvx2(double alpha, int upto, double* dist);
-double DotSlotsAvx2(const double* a, const double* b, size_t n);
-double IotaDotSlotsAvx2(const double* a, int k0, size_t n);
-
-#elif defined(UJOIN_SIMD_NEON)
-
-inline double CdfCellUpdateNeon(const double* l1, const double* u1,
-                                const double* u2, const double* u3,
-                                const double* lsel, double p1, double p2,
-                                int width, double* lo, double* up) {
-  lo[0] = p1 * l1[0] < p2 * 0.0 ? p2 * 0.0 : p1 * l1[0];
-  const double sum0 = p1 * u1[0] + p2 * 0.0 + 0.0 + 0.0;
-  up[0] = sum0 < 1.0 ? sum0 : 1.0;
-  double cell_max = 0.0 < up[0] ? up[0] : 0.0;
-  const float64x2_t vp1 = vdupq_n_f64(p1);
-  const float64x2_t vp2 = vdupq_n_f64(p2);
-  const float64x2_t vone = vdupq_n_f64(1.0);
-  float64x2_t vmax = vdupq_n_f64(0.0);
-  int j = 1;
-  for (; j + 1 < width; j += 2) {
-    const float64x2_t vlo = vmaxq_f64(vmulq_f64(vp1, vld1q_f64(l1 + j)),
-                                      vmulq_f64(vp2, vld1q_f64(lsel + j - 1)));
-    vst1q_f64(lo + j, vlo);
-    float64x2_t t = vmulq_f64(vp1, vld1q_f64(u1 + j));
-    t = vaddq_f64(t, vmulq_f64(vp2, vld1q_f64(u1 + j - 1)));
-    t = vaddq_f64(t, vld1q_f64(u2 + j - 1));
-    t = vaddq_f64(t, vld1q_f64(u3 + j - 1));
-    const float64x2_t vup = vminq_f64(vone, t);
-    vst1q_f64(up + j, vup);
-    vmax = vmaxq_f64(vmax, vup);
-  }
-  const double m = vmaxvq_f64(vmax);
-  cell_max = cell_max < m ? m : cell_max;
-  for (; j < width; ++j) {
-    lo[j] = p1 * l1[j] < p2 * lsel[j - 1] ? p2 * lsel[j - 1] : p1 * l1[j];
-    const double sum = p1 * u1[j] + p2 * u1[j - 1] + u2[j - 1] + u3[j - 1];
-    up[j] = sum < 1.0 ? sum : 1.0;
-    cell_max = cell_max < up[j] ? up[j] : cell_max;
-  }
-  return cell_max;
-}
-
-inline void EventDpStepNeon(double alpha, int upto, double* dist) {
-  const double beta = 1.0 - alpha;
-  const float64x2_t va = vdupq_n_f64(alpha);
-  const float64x2_t vb = vdupq_n_f64(beta);
-  int j = upto;
-  for (; j >= 2; j -= 2) {
-    const float64x2_t cur = vld1q_f64(dist + j - 1);
-    const float64x2_t prev = vld1q_f64(dist + j - 2);
-    vst1q_f64(dist + j - 1, vaddq_f64(vmulq_f64(va, prev), vmulq_f64(vb, cur)));
-  }
-  for (; j >= 1; --j) dist[j] = alpha * dist[j - 1] + beta * dist[j];
-  dist[0] *= beta;
-}
-
-inline double DotSlotsNeon(const double* a, const double* b, size_t n) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = vaddq_f64(acc01, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-    acc23 = vaddq_f64(acc23,
-                      vmulq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2)));
-  }
-  double s[4];
-  vst1q_f64(s + 0, acc01);
-  vst1q_f64(s + 2, acc23);
-  for (; i < n; ++i) s[i & 3] += a[i] * b[i];
-  return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-inline double IotaDotSlotsNeon(const double* a, int k0, size_t n) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  const float64x2_t four = vdupq_n_f64(4.0);
-  const double base = static_cast<double>(k0);
-  float64x2_t idx01 = {base, base + 1.0};
-  float64x2_t idx23 = {base + 2.0, base + 3.0};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = vaddq_f64(acc01, vmulq_f64(vld1q_f64(a + i), idx01));
-    acc23 = vaddq_f64(acc23, vmulq_f64(vld1q_f64(a + i + 2), idx23));
-    idx01 = vaddq_f64(idx01, four);
-    idx23 = vaddq_f64(idx23, four);
-  }
-  double s[4];
-  vst1q_f64(s + 0, acc01);
-  vst1q_f64(s + 2, acc23);
-  for (; i < n; ++i) {
-    s[i & 3] += a[i] * static_cast<double>(k0 + static_cast<int>(i));
-  }
-  return (s[0] + s[1]) + (s[2] + s[3]);
-}
-
-#endif  // UJOIN_SIMD_X86 / UJOIN_SIMD_NEON
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Dispatched entry points: what the pipeline calls.
-// ---------------------------------------------------------------------------
-
-/// See scalar::CdfCellUpdate.
-inline double CdfCellUpdate(const double* l1, const double* u1,
-                            const double* u2, const double* u3,
-                            const double* lsel, double p1, double p2,
-                            int width, double* lo, double* up) {
-#if defined(UJOIN_SIMD_X86)
-  if (ActiveIsa() == Isa::kAvx2) {
-    return detail::CdfCellUpdateAvx2(l1, u1, u2, u3, lsel, p1, p2, width, lo,
-                                     up);
-  }
-  return detail::CdfCellUpdateSse2(l1, u1, u2, u3, lsel, p1, p2, width, lo,
-                                   up);
-#elif defined(UJOIN_SIMD_NEON)
-  return detail::CdfCellUpdateNeon(l1, u1, u2, u3, lsel, p1, p2, width, lo,
-                                   up);
-#else
-  return scalar::CdfCellUpdate(l1, u1, u2, u3, lsel, p1, p2, width, lo, up);
-#endif
-}
-
-/// See scalar::EventDpStep.
-inline void EventDpStep(double alpha, int upto, double* dist) {
-#if defined(UJOIN_SIMD_X86)
-  if (ActiveIsa() == Isa::kAvx2) {
-    detail::EventDpStepAvx2(alpha, upto, dist);
-    return;
-  }
-  detail::EventDpStepSse2(alpha, upto, dist);
-#elif defined(UJOIN_SIMD_NEON)
-  detail::EventDpStepNeon(alpha, upto, dist);
-#else
-  scalar::EventDpStep(alpha, upto, dist);
-#endif
-}
-
-/// See scalar::DotSlots.
-inline double DotSlots(const double* a, const double* b, size_t n) {
-#if defined(UJOIN_SIMD_X86)
-  if (ActiveIsa() == Isa::kAvx2) return detail::DotSlotsAvx2(a, b, n);
-  return detail::DotSlotsSse2(a, b, n);
-#elif defined(UJOIN_SIMD_NEON)
-  return detail::DotSlotsNeon(a, b, n);
-#else
-  return scalar::DotSlots(a, b, n);
-#endif
-}
-
-/// See scalar::IotaDotSlots.
-inline double IotaDotSlots(const double* a, int k0, size_t n) {
-#if defined(UJOIN_SIMD_X86)
-  if (ActiveIsa() == Isa::kAvx2) return detail::IotaDotSlotsAvx2(a, k0, n);
-  return detail::IotaDotSlotsSse2(a, k0, n);
-#elif defined(UJOIN_SIMD_NEON)
-  return detail::IotaDotSlotsNeon(a, k0, n);
-#else
-  return scalar::IotaDotSlots(a, k0, n);
-#endif
-}
-
-/// See scalar::Fingerprint64Batch.  Every vector ISA dispatches to the same
-/// interleaved core — see its comment for why there is no AVX2 variant.
-inline void Fingerprint64Batch(const char* const* keys, size_t len,
-                               size_t count, uint64_t* out) {
-#if defined(UJOIN_SIMD_X86) || defined(UJOIN_SIMD_NEON)
-  detail::Fingerprint64BatchInterleaved(keys, len, count, out);
-#else
-  scalar::Fingerprint64Batch(keys, len, count, out);
-#endif
+  for (; i < count; ++i) out[i] = Fingerprint64(keys[i], len);
 }
 
 // ---------------------------------------------------------------------------
 // Software prefetch.  Purely a scheduling hint — results never depend on it
-// — so it is grouped with the kernel layer only because __builtin_prefetch
-// is restricted to this file by the same lint rule as the intrinsics.
-// A -DUJOIN_SIMD=off build compiles both to nothing, keeping the scalar
-// configuration free of every architecture-aware instruction.
+// — and kept here because the lint rule that confines intrinsics to this
+// file covers __builtin_prefetch too.
 // ---------------------------------------------------------------------------
 
 /// Hints the read of the cache line at `p` (moderate temporal locality).
 inline void PrefetchRead(const void* p) {
-#if !defined(UJOIN_SIMD_DISABLED) && (defined(__GNUC__) || defined(__clang__))
+#if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 0, 2);
 #else
   (void)p;

@@ -70,13 +70,16 @@ class TrieWalker {
   }
 
   /// Runs a walk constructed with τ >= 0 and returns its verdict, with
-  /// certified bounds that coincide unless the walk stopped early.
+  /// certified bounds that coincide unless the walk skipped an alternative.
   ThresholdVerdict Decide() {
     Run();
     ThresholdVerdict verdict;
     verdict.lower = ClampProb(total_);
-    verdict.upper = ClampProb(total_ + (1.0 - resolved_));
-    verdict.exact = !stopped_;
+    verdict.exact = !skipped_;
+    // A complete walk's total_ is the exact probability; 1 - resolved_ is
+    // then only rounding slack.
+    verdict.upper =
+        verdict.exact ? verdict.lower : ClampProb(total_ + (1.0 - resolved_));
     verdict.similar = verdict.lower > tau_;
     UJOIN_DCHECK(verdict.similar || verdict.upper <= tau_ || verdict.exact);
     return verdict;
@@ -111,7 +114,10 @@ class TrieWalker {
     }
     ActiveSet& child = sets_[static_cast<size_t>(depth) + 1];
     for (const CharProb& cp : s_.AlternativesAt(depth)) {
-      if (stopped_) return;
+      if (stopped_) {
+        skipped_ = true;  // the only place the walk leaves work undone
+        return;
+      }
       const double child_prob = prefix_prob * cp.prob;
       Extend(active, cp.symbol, depth + 1, &child);
       if (child.empty()) {
@@ -210,7 +216,8 @@ class TrieWalker {
   std::vector<ActiveSet> sets_;  // sets_[d]: A of the current depth-d prefix
   double total_ = 0.0;     // accumulated matching mass (only grows)
   double resolved_ = 0.0;  // S-prefix mass with a final contribution
-  bool stopped_ = false;
+  bool stopped_ = false;  // the verdict is certified; walk no further
+  bool skipped_ = false;  // an alternative was left unwalked
 };
 
 }  // namespace ujoin::internal

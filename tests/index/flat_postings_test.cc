@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace ujoin {
 namespace {
@@ -184,6 +185,40 @@ TEST(FlatPostingsTest, GrowsThroughManyRehashes) {
   }
   for (int i = 0; i < 5000; ++i) {
     EXPECT_FALSE(lists.Find(keys[static_cast<size_t>(i)]).empty());
+  }
+}
+
+// The batched probe path fingerprints a segment's keys with
+// simd::Fingerprint64Batch (four interleaved FNV chains) and probes with the
+// results, so the batch must equal the single-key Fingerprint64 the table
+// hashed with at insert time, or batched lookups would miss.
+TEST(FlatPostingsTest, Fingerprint64BatchMatchesSingleKey) {
+  Rng rng(0x5eed0006);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                     size_t{8}, size_t{9}, size_t{24}}) {
+    // Counts straddling the 4-way interleave: empty batch, singleton,
+    // sub-block, exact blocks, and block + remainder.
+    for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                         size_t{4}, size_t{5}, size_t{8}, size_t{13}}) {
+      std::vector<std::string> keys;
+      std::vector<const char*> ptrs;
+      for (size_t i = 0; i < count; ++i) {
+        std::string key(len, '\0');
+        for (char& ch : key) {
+          ch = static_cast<char>(static_cast<unsigned char>(rng.Next()));
+        }
+        keys.push_back(key);
+      }
+      for (const std::string& k : keys) ptrs.push_back(k.data());
+      std::vector<uint64_t> got(count + 1, 0xdead);
+      simd::Fingerprint64Batch(ptrs.data(), len, count, got.data());
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(Fingerprint64(keys[i].data(), len), got[i])
+            << "key " << i << " of " << count << ", len " << len;
+      }
+      // The kernel must not write past `count` outputs.
+      EXPECT_EQ(uint64_t{0xdead}, got[count]) << "count " << count;
+    }
   }
 }
 

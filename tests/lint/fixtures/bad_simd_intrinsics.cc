@@ -1,9 +1,8 @@
 // ujoin-lint-fixture: as=src/filter/fast_cdf.cc rule=simd-intrinsics expect=5
 //
 // Seeded violations: raw vector code outside the kernel layer.  Each form
-// bypasses the dispatched wrappers in util/simd.h, so it would break the
-// -DUJOIN_SIMD=off build, non-x86 targets, or escape the differential
-// kernel test.
+// is target-specific (x86 intrinsics would not compile on aarch64) and
+// bypasses the portable kernels in util/simd.h.
 #include <immintrin.h>  // violation: intrinsics header include
 #include <cstddef>
 

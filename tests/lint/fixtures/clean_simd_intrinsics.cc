@@ -1,9 +1,9 @@
 // ujoin-lint-fixture: as=src/util/simd_neon.h rule=simd-intrinsics expect=0
 //
 // Clean counterpart of bad_simd_intrinsics.cc: the same raw vector forms
-// (header include, NEON types and calls, __builtin_prefetch) are fine
-// inside the kernel layer, where a scalar:: twin and the differential test
-// cover them.  Intrinsic names in comments must not fire either, e.g.
+// (header include, NEON types and calls, __builtin_prefetch) are allowed
+// inside the kernel layer, the one place target-specific code may live.
+// Intrinsic names in comments must not fire either, e.g.
 // _mm256_add_pd(acc, x) or #include <immintrin.h>.
 #include <arm_neon.h>
 #include <cstddef>

@@ -1,5 +1,6 @@
 // Regression tests for the exponential-verification guard
-// (SearchLimits::max_verify_worlds / deadline_ns).  The pathological query is
+// (SearchLimits::max_verify_worlds / deadline_ns, and the VerifyOptions
+// caps).  The pathological query is
 // a string with seven uncertain positions of twenty alternatives each
 // (|worlds| = 20^7 ≈ 1.3e9): exactly verifying it against itself would
 // explore a possible-world product of ~1.6e18 and never finish, so the mere
@@ -16,6 +17,7 @@
 
 #include "filter/cdf_filter.h"
 #include "join/search.h"
+#include "join/self_join.h"
 #include "serve/search_server.h"
 #include "serve_test_util.h"
 #include "text/uncertain_string.h"
@@ -154,6 +156,47 @@ TEST_F(VerifyBudgetTest, ExpiredDeadlineFallsBackToCdfVerdict) {
   ASSERT_EQ(hits->size(), 1u);
   EXPECT_FALSE((*hits)[0].exact);
   EXPECT_EQ((*hits)[0].probability, 1.0);
+}
+
+// A pair over every VerifyOptions cap (the T_R node cap stops the plain and
+// the compressed trie, the world-pair cap stops naive enumeration) cannot
+// be verified exactly at all.  It must fall back to its CDF verdict like an
+// over-budget pair instead of failing the whole join or search.
+TEST(VerifyCapTest, PairOverEveryVerifyCapFallsBackToCdfVerdict) {
+  Result<UncertainString> s = UncertainString::Parse(
+      "jo{(h,0.9),(n,0.1)}n sm{(i,0.8),(y,0.2)}th", Alphabet::Names());
+  ASSERT_TRUE(s.ok());
+  JoinOptions options = JoinOptions::Fct(/*k=*/2, /*tau=*/0.1);
+  options.always_verify = true;
+  options.verify.max_trie_nodes = 2;
+  options.verify.max_world_pairs = 1;
+  const double lower =
+      EvaluateCdfFilter(*s, *s, options.k, options.tau)
+          .bounds.lower[static_cast<size_t>(options.k)];
+  ASSERT_GT(lower, options.tau);
+
+  Result<SelfJoinResult> join =
+      SimilaritySelfJoin({*s, *s}, Alphabet::Names(), options);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_EQ(join->pairs.size(), 1u);
+  EXPECT_FALSE(join->pairs[0].exact);
+  EXPECT_EQ(join->pairs[0].probability, lower);
+  EXPECT_EQ(join->stats.budget_fallbacks, 1);
+  EXPECT_EQ(join->stats.verified_pairs, 0);
+  EXPECT_TRUE(join->stats.Inexact());
+
+  Result<SimilaritySearcher> searcher =
+      SimilaritySearcher::Create({*s}, Alphabet::Names(), options);
+  ASSERT_TRUE(searcher.ok());
+  JoinStats stats;
+  Result<std::vector<SearchHit>> hits = searcher->Search(*s, &stats);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_FALSE((*hits)[0].exact);
+  EXPECT_EQ((*hits)[0].probability, lower);
+  EXPECT_EQ(stats.budget_fallbacks, 1);
+  EXPECT_EQ(stats.verified_pairs, 0);
+  EXPECT_TRUE(stats.Inexact());
 }
 
 TEST_F(VerifyBudgetTest, ServerMarksOverBudgetResponsesInexact) {

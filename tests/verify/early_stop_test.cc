@@ -74,11 +74,13 @@ TEST(DecideSimilarTest, CompletedWalkIsExact) {
   ASSERT_TRUE(s.ok());
   Result<TrieVerifier> verifier = TrieVerifier::Create(r, 0);
   ASSERT_TRUE(verifier.ok());
-  // tau = 1 can never accept early and rejection needs the full walk when
-  // the probability is positive; expect an exact 0.6.
+  // tau = 0.99 cannot accept early, and only the last alternative certifies
+  // the rejection, so nothing is left unwalked: expect an exact 0.6.
   const ThresholdVerdict verdict = verifier->DecideSimilar(*s, 0.99);
   EXPECT_FALSE(verdict.similar);
-  EXPECT_NEAR(verdict.upper, 0.6, 1e-9);
+  EXPECT_TRUE(verdict.exact);
+  EXPECT_DOUBLE_EQ(verdict.lower, 0.6);
+  EXPECT_DOUBLE_EQ(verdict.upper, 0.6);
 }
 
 TEST(EarlyStopJoinTest, SameResultSetAsExactJoin) {

@@ -3,10 +3,7 @@
 # invariant lint, warning-hardened Release build + tier-1 tests, clang-tidy
 # (skipped with a notice when not installed), the concurrency-sensitive join
 # tests under ThreadSanitizer, the full suite under UndefinedBehaviorSanitizer,
-# a -DUJOIN_SIMD=off build + test leg (proves the scalar fallback alone
-# passes everything), the SIMD kernel micro-bench gates (per-kernel speedup
-# + scalar/vector bit-identity, BENCH_simd.json), the index-probe
-# micro-bench gates (speedup + zero allocations), an
+# the index-probe micro-bench gates (speedup + zero allocations), an
 # observability smoke: a CLI join with metrics + tracing whose JSON outputs
 # are schema-validated, plus the allocation gate with recording on, and a
 # live-monitoring smoke (tools/live_smoke.sh): HTTP scrape of /metrics and
@@ -34,7 +31,7 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTION
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 
-echo "==> [1/14] invariant lint + effect analysis (self-tests + repo scans)"
+echo "==> [1/12] invariant lint + effect analysis (self-tests + repo scans)"
 python3 tools/ujoin_lint.py --self-test
 python3 tools/ujoin_lint.py
 python3 tools/ujoin_effects.py --self-test
@@ -42,12 +39,11 @@ python3 tools/ujoin_effects.py --require-roots
 python3 tools/validate_query_log.py --self-test
 python3 tools/validate_flight_record.py --self-test
 
-echo "==> [2/14] configure + build (Release, warnings as errors)"
+echo "==> [2/12] configure + build (Release, warnings as errors)"
 cmake -B build -S . -DUJOIN_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
-./build/tools/ujoin_cli simd-info
 
-echo "==> [3/14] clang-tidy (profile: .clang-tidy)"
+echo "==> [3/12] clang-tidy (profile: .clang-tidy)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # The build dir holds compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS).
   find src tools bench -name '*.cc' -print0 |
@@ -56,49 +52,37 @@ else
   echo "clang-tidy not installed: skipping (CI runs this step)"
 fi
 
-echo "==> [4/14] tier-1 test suite"
+echo "==> [4/12] tier-1 test suite"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> [5/14] configure + build (ThreadSanitizer)"
+echo "==> [5/12] configure + build (ThreadSanitizer)"
 cmake -B build-tsan -S . -DUJOIN_SANITIZE=thread \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
   join_stats_test self_join_test cross_join_test join_obs_test \
   scrape_server_test serve_protocol_test serve_differential_test \
-  slow_query_test verify_budget_test simd_kernel_test \
-  flight_recorder_test watchdog_test serve_idle_test)
+  slow_query_test verify_budget_test flight_recorder_test watchdog_test \
+  serve_idle_test)
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
 
-echo "==> [6/14] parallel join tests under TSan"
+echo "==> [6/12] parallel join tests under TSan"
 for t in "${TSAN_TARGETS[@]}"; do
   echo "--- $t"
   "./build-tsan/tests/$t"
 done
 
-echo "==> [7/14] full suite under UBSan"
+echo "==> [7/12] full suite under UBSan"
 cmake -B build-ubsan -S . -DUJOIN_SANITIZE=undefined \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -LE lint
 
-echo "==> [8/14] scalar fallback leg (-DUJOIN_SIMD=off build + tests)"
-# The differential test degenerates to scalar==scalar here; the point is
-# that the whole suite passes with every kernel forced to the fallback.
-cmake -B build-simd-off -S . -DUJOIN_SIMD=off -DUJOIN_WERROR=ON \
-  -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-simd-off -j "$JOBS"
-./build-simd-off/tools/ujoin_cli simd-info
-ctest --test-dir build-simd-off --output-on-failure -j "$JOBS" -LE lint
-
-echo "==> [9/14] SIMD kernel micro-bench (speedup + bit-identity gates)"
-./build/bench/bench_simd build/BENCH_simd.json
-
-echo "==> [10/14] index probe micro-bench (speedup + zero-allocation gates)"
+echo "==> [8/12] index probe micro-bench (speedup + zero-allocation gates)"
 # Tiny scale: this is a smoke run of the gates, not a timing measurement.
 UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   ./build/bench/bench_index_probe build/BENCH_probe.json
 
-echo "==> [11/14] CLI observability smoke (run report + trace schemas)"
+echo "==> [9/12] CLI observability smoke (run report + trace schemas)"
 OBS_DIR="build/obs-smoke"
 mkdir -p "$OBS_DIR"
 ./build/tools/ujoin_cli generate --kind=names --size=200 --seed=11 \
@@ -143,7 +127,7 @@ assert all({"ts", "dur", "tid"} <= e.keys()
 print("run report and trace are schema-valid")
 PYEOF
 
-echo "==> [12/14] zero-allocation and overhead gates with recording on"
+echo "==> [10/12] zero-allocation and overhead gates with recording on"
 ./build/tests/frozen_index_test \
   --gtest_filter='FrozenIndexTest.SteadyStateQueryDoesNotAllocate'
 # Smoke gate only: at this tiny scale a 1-CPU box needs a wide margin and
@@ -154,10 +138,10 @@ UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   UJOIN_OBS_OVERHEAD_REPS="${UJOIN_OBS_OVERHEAD_REPS:-15}" \
   ./build/bench/bench_obs_overhead build/BENCH_obs.json
 
-echo "==> [13/14] live monitoring smoke (scrape endpoint + trace sampling)"
+echo "==> [11/12] live monitoring smoke (scrape endpoint + trace sampling)"
 bash tools/live_smoke.sh build
 
-echo "==> [14/14] resident service smoke (socket batch + scrape + SIGINT)"
+echo "==> [12/12] resident service smoke (socket batch + scrape + SIGINT)"
 bash tools/serve_smoke.sh build
 
 echo "all checks passed"

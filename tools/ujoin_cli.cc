@@ -37,7 +37,6 @@
 //               the envelope is byte-identical across runs for the same
 //               index, query, and limits.)
 //   ujoin_cli stats --input=FILE --kind=names|protein
-//   ujoin_cli simd-info   (prints the dispatched SIMD instruction set)
 //   ujoin_cli serve (--input=FILE | --index=FILE.idx) --kind=names|protein
 //              [--k=2] [--tau=0.1] [--q=3] [--port=0] [--metrics-port=-1]
 //              [--max-connections=4] [--max-verify-worlds=0]
@@ -130,7 +129,6 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "serve/search_server.h"
-#include "util/simd.h"
 
 namespace {
 
@@ -196,7 +194,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: ujoin_cli "
-      "<generate|join|index|search|explain|serve|stats|simd-info>"
+      "<generate|join|index|search|explain|serve|stats>"
       " [flags]\n"
       "see the header of tools/ujoin_cli.cc for flag reference\n");
   return 2;
@@ -1035,19 +1033,6 @@ int RunStats(Flags& flags) {
   return 0;
 }
 
-// `ujoin_cli simd-info`: the instruction set the kernel layer dispatched to
-// at startup (also recorded as "simd_isa" in every ujoin.run_report).  CI's
-// release leg prints this so the log shows what the benchmarks measured.
-int RunSimdInfo() {
-  std::printf("simd_isa: %s\n", simd::ActiveIsaName());
-#if defined(UJOIN_SIMD_DISABLED)
-  std::printf("build:    -DUJOIN_SIMD=off (scalar kernels only)\n");
-#else
-  std::printf("build:    -DUJOIN_SIMD=auto (runtime dispatch)\n");
-#endif
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1061,6 +1046,5 @@ int main(int argc, char** argv) {
   if (command == "explain") return RunExplain(flags);
   if (command == "serve") return RunServe(flags);
   if (command == "stats") return RunStats(flags);
-  if (command == "simd-info") return RunSimdInfo();
   return Usage();
 }

@@ -41,18 +41,11 @@ Rules (see DESIGN.md "Static analysis and CI gates"):
   simd-intrinsics
       Raw SIMD intrinsics (immintrin/arm_neon includes, _mm*/__m* tokens,
       NEON v*_type calls, __builtin_prefetch / __builtin_cpu_supports)
-      anywhere except src/util/simd*.  All vector code lives behind the
-      dispatched wrappers in util/simd.h so -DUJOIN_SIMD=off and
-      non-x86 builds keep compiling, and so the differential kernel test
-      covers every intrinsic ever written.
-
-  simd-dispatch-fallback
-      A vector kernel variant (FooSse2 / FooAvx2 / FooNeon definition in
-      src/util/simd*) whose scalar reference scalar::Foo does not exist
-      anywhere in the kernel layer.  Every runtime-dispatch entry point
-      must have an always-available scalar fallback — it is both the
-      -DUJOIN_SIMD=off implementation and the bit-identity oracle the
-      differential test compares against.
+      anywhere except src/util/simd*.  The probe-path kernels there are
+      portable C++ that every target compiles and runs to the same bits;
+      confining target-specific code (including prefetch hints) to that
+      one header keeps every other file portable and puts any such code
+      next to the kernel whose arithmetic it would have to match.
 
   query-log-api
       JsonWriter use in src/serve/ outside protocol.cc.  Serve-layer JSON
@@ -159,8 +152,7 @@ PROBE_PATH_ALLOC_WHITELIST = {
 OBS_MACRO_SCOPE_GLOBS = ["src/*", "src/**/*", "tools/*"]
 OBS_MACRO_ALLOW_GLOBS = ["src/obs/*"]
 
-# The kernel layer: the only files allowed to contain raw intrinsics, and
-# the group within which every vector variant must have a scalar:: twin.
+# The kernel layer: the only files allowed to contain raw intrinsics.
 SIMD_KERNEL_GLOBS = ["src/util/simd*"]
 
 RULE_NAMES = (
@@ -169,7 +161,6 @@ RULE_NAMES = (
     "probe-path-alloc",
     "obs-macro-only",
     "simd-intrinsics",
-    "simd-dispatch-fallback",
     "query-log-api",
     "flight-macro-only",
     "stale-suppression",
@@ -833,47 +824,11 @@ def check_simd_intrinsics(path: str, stripped_lines: list[str],
             if pat.search(line):
                 out.append(Violation(
                     path, i, "simd-intrinsics",
-                    f"{what} outside src/util/simd*; raw vector code lives "
-                    f"only in the kernel layer (util/simd.h wrappers) so "
-                    f"-DUJOIN_SIMD=off and non-x86 builds keep working and "
-                    f"the differential test covers it"))
+                    f"{what} outside src/util/simd*; target-specific code "
+                    f"lives only in the kernel layer (util/simd.h) so every "
+                    f"other file compiles to the same code on every "
+                    f"target"))
                 break
-    return out
-
-
-# A vector kernel variant definition: FooSse2/FooAvx2/FooNeon recognized by
-# the function tracker (so calls to them in dispatch entries do not match).
-_VECTOR_VARIANT_RE = re.compile(r"^(\w+?)(?:Sse2|Avx2|Avx512|Neon)$")
-
-
-def check_simd_dispatch_fallback(path: str, stripped_lines: list[str],
-                                 functions: list[str | None] | None = None,
-                                 simd_group: str | None = None,
-                                 **_) -> list[Violation]:
-    if not _matches(path, SIMD_KERNEL_GLOBS):
-        return []
-    assert functions is not None
-    group = simd_group if simd_group is not None else "\n".join(stripped_lines)
-    out = []
-    flagged: set[str] = set()
-    for i, func in enumerate(functions):
-        if func is None or func in flagged:
-            continue
-        if i > 0 and functions[i - 1] == func:
-            continue  # continuation of the same definition
-        m = _VECTOR_VARIANT_RE.match(func)
-        if not m:
-            continue
-        base = m.group(1)
-        if re.search(r"\bscalar\s*::\s*" + re.escape(base) + r"\b", group):
-            continue
-        flagged.add(func)
-        out.append(Violation(
-            path, i + 1, "simd-dispatch-fallback",
-            f"vector variant '{func}' has no scalar::{base} reference "
-            f"fallback in the kernel layer; every dispatched kernel needs "
-            f"an always-available scalar twin (the -DUJOIN_SIMD=off "
-            f"implementation and the differential test's oracle)"))
     return out
 
 
@@ -931,7 +886,6 @@ CHECKS = [
     check_probe_path_alloc,
     check_obs_macro_only,
     check_simd_intrinsics,
-    check_simd_dispatch_fallback,
     check_query_log_api,
     check_flight_macro_only,
 ]
@@ -942,11 +896,8 @@ CHECKS = [
 # ---------------------------------------------------------------------------
 
 
-def lint_text(path: str, text: str,
-              simd_group: str | None = None) -> list[Violation]:
-    """Lints one file's contents as repo-relative `path`.  `simd_group` is
-    the concatenated stripped source of every src/util/simd* file, for the
-    cross-file simd-dispatch-fallback rule; defaults to this file alone."""
+def lint_text(path: str, text: str) -> list[Violation]:
+    """Lints one file's contents as repo-relative `path`."""
     raw_lines = text.split("\n")
     stripped = strip_comments_and_literals(text)
     stripped_lines = stripped.split("\n")
@@ -954,8 +905,7 @@ def lint_text(path: str, text: str,
     violations: list[Violation] = []
     used: set[tuple[int, str]] = set()  # (comment line, rule) consumed
     for check in CHECKS:
-        for v in check(path, stripped_lines, functions=functions,
-                       simd_group=simd_group):
+        for v in check(path, stripped_lines, functions=functions):
             comment_line = _suppression_at(raw_lines, v.line, v.rule)
             if comment_line is None:
                 violations.append(v)
@@ -993,26 +943,9 @@ def lint_paths(root: str, rel_paths: list[str]) -> list[Violation]:
         except OSError as e:
             print(f"ujoin_lint: cannot read {full}: {e}", file=sys.stderr)
             sys.exit(2)
-    # Aggregate the kernel layer so FooAvx2 in simd.cc is satisfied by the
-    # scalar::Foo reference in simd.h.  When the kernel files are not part
-    # of this run (explicit path list), read them from disk anyway — the
-    # rule is about the layer, not the argument list.
-    group_files = {rel: t for rel, t in texts.items()
-                   if _matches(rel, SIMD_KERNEL_GLOBS)}
-    for rel in iter_repo_files(root):
-        if _matches(rel, SIMD_KERNEL_GLOBS) and rel not in group_files:
-            try:
-                with open(os.path.join(root, rel), encoding="utf-8",
-                          errors="replace") as f:
-                    group_files[rel] = f.read()
-            except OSError:
-                pass
-    simd_group = "\n".join(
-        strip_comments_and_literals(group_files[rel])
-        for rel in sorted(group_files))
     violations: list[Violation] = []
     for rel in rel_paths:
-        violations.extend(lint_text(rel, texts[rel], simd_group=simd_group))
+        violations.extend(lint_text(rel, texts[rel]))
     return violations
 
 
