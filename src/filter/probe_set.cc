@@ -1,6 +1,7 @@
 #include "filter/probe_set.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "text/possible_worlds.h"
@@ -61,6 +62,20 @@ void ForEachWindowWorld(const UncertainString& r, int start, int len,
     }
     if (!advanced) break;
   }
+}
+
+// The first 8 bytes of `text` as a big-endian unsigned integer, zero-padded
+// when shorter.  For texts of one length, comparing these prefixes and then
+// the bytes past 8 orders the texts exactly as std::string_view comparison
+// does (which compares bytes as unsigned char).
+uint64_t BigEndianPrefix(std::string_view text) {
+  const size_t n = std::min<size_t>(text.size(), 8);
+  if (n == 0) return 0;
+  uint64_t prefix = 0;
+  for (size_t i = 0; i < n; ++i) {
+    prefix = prefix << 8 | static_cast<unsigned char>(text[i]);
+  }
+  return prefix << (8 * (8 - n));
 }
 
 }  // namespace
@@ -160,9 +175,11 @@ Status BuildProbeSetInto(const UncertainString& r, int s_len,
 
   // Enumerate instances per admissible start into the scratch pool (every
   // instance has length seg.length, so the pool has a fixed stride), then
-  // sort a permutation by (instance text, start) and group equal texts.
+  // sort the occurrences by (instance text, start) and group equal texts.
   // Ties sort by start, so each group's occurrence list ends up ordered by
-  // position as the grouping probability requires.
+  // position as the grouping probability requires.  Texts compare by their
+  // 8-byte prefix, computed once per occurrence, and only past it by bytes.
+  using RawOccurrence = ProbeSetScratch::RawOccurrence;
   const size_t stride = static_cast<size_t>(seg.length);
   scratch->text_pool.clear();
   scratch->occurrences.clear();
@@ -184,38 +201,40 @@ Status BuildProbeSetInto(const UncertainString& r, int s_len,
               static_cast<uint32_t>(scratch->text_pool.size());
           scratch->text_pool.append(instance);
           scratch->occurrences.push_back(
-              ProbeSetScratch::RawOccurrence{offset, start, prob});
+              RawOccurrence{BigEndianPrefix(instance), offset, start, prob});
         });
   }
-  const auto text_of = [&](const ProbeSetScratch::RawOccurrence& occ) {
+  const auto text_of = [&](const RawOccurrence& occ) {
     return std::string_view(scratch->text_pool.data() + occ.text_offset,
                             stride);
   };
-  scratch->order.resize(scratch->occurrences.size());
-  for (uint32_t i = 0; i < scratch->order.size(); ++i) scratch->order[i] = i;
-  std::sort(scratch->order.begin(), scratch->order.end(),
-            [&](uint32_t a, uint32_t b) {
-              const ProbeSetScratch::RawOccurrence& oa =
-                  scratch->occurrences[a];
-              const ProbeSetScratch::RawOccurrence& ob =
-                  scratch->occurrences[b];
-              const std::string_view ta = text_of(oa);
-              const std::string_view tb = text_of(ob);
-              if (ta != tb) return ta < tb;
-              return oa.start < ob.start;
+  const size_t tail = stride > 8 ? stride - 8 : 0;  // bytes past the prefix
+  const auto compare_tails = [&](const RawOccurrence& a,
+                                 const RawOccurrence& b) {
+    return std::memcmp(scratch->text_pool.data() + a.text_offset + 8,
+                       scratch->text_pool.data() + b.text_offset + 8, tail);
+  };
+  const auto same_text = [&](const RawOccurrence& a, const RawOccurrence& b) {
+    return a.prefix == b.prefix && (tail == 0 || compare_tails(a, b) == 0);
+  };
+  std::sort(scratch->occurrences.begin(), scratch->occurrences.end(),
+            [&](const RawOccurrence& a, const RawOccurrence& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              if (tail != 0) {
+                const int order = compare_tails(a, b);
+                if (order != 0) return order < 0;
+              }
+              return a.start < b.start;
             });
 
-  for (size_t i = 0; i < scratch->order.size();) {
-    const std::string_view text =
-        text_of(scratch->occurrences[scratch->order[i]]);
+  const auto& sorted = scratch->occurrences;
+  for (size_t i = 0; i < sorted.size();) {
+    const std::string_view text = text_of(sorted[i]);
     size_t j = i;
     scratch->group.clear();
-    while (j < scratch->order.size() &&
-           text_of(scratch->occurrences[scratch->order[j]]) == text) {
-      const ProbeSetScratch::RawOccurrence& occ =
-          scratch->occurrences[scratch->order[j]];
-      scratch->group.push_back(ProbeOccurrence{occ.start, occ.prob});
-      ++j;
+    for (; j < sorted.size() && same_text(sorted[j], sorted[i]); ++j) {
+      scratch->group.push_back(
+          ProbeOccurrence{sorted[j].start, sorted[j].prob});
     }
     double prob = -1.0;
     if (options.exact_union_probability) {

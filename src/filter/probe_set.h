@@ -42,15 +42,22 @@ struct ProbeSetOptions {
   /// paper's overlap-grouping recursion (Section 3.2 Steps 1-2).  Exact mode
   /// falls back to the recursion when the region has too many worlds.
   bool exact_union_probability = false;
+
+  friend bool operator==(const ProbeSetOptions&,
+                         const ProbeSetOptions&) = default;
 };
 
 /// \brief The probe sets q(r, x) of all m segments of one length bucket in
 /// one flat, allocation-free-to-read layout.
 ///
 /// Substring texts are appended to a shared character pool; entries carry
-/// (offset, length, prob) and are grouped by segment via `segment_begin`.
-/// All buffers grow but never shrink, so a workspace-owned instance reaches
-/// a steady state after which repeated queries allocate nothing.
+/// (offset, length, prob), and each segment is a range of entries.  A
+/// segment closed by FinishSegment stays stored until the next Reset, so a
+/// later segment table (ResetSegments) can list it again with AddSegment
+/// instead of rebuilding it: the index's probe-set memo keeps one probe
+/// string's segments here across the length buckets it queries.  All
+/// buffers grow but never shrink, so a workspace-owned instance reaches a
+/// steady state after which repeated queries allocate nothing.
 class FlatProbeSets {
  public:
   struct Entry {
@@ -59,13 +66,29 @@ class FlatProbeSets {
     double prob;
   };
 
-  /// Starts a fresh build for `num_segments` segments; keeps capacity.
+  /// One segment: the entries [begin, end), or a wildcard (probe-set
+  /// construction blew up) that matches every indexed id with α = 1 and
+  /// has an empty range.
+  struct SegmentRange {
+    uint32_t begin;
+    uint32_t end;
+    bool wildcard;
+  };
+
+  /// Starts a fresh build for `num_segments` segments, dropping every
+  /// stored entry; keeps capacity.
   void Reset(int num_segments) {
     pool_.clear();
     entries_.clear();
-    segment_begin_.clear();
-    segment_begin_.push_back(0);
-    wildcard_.assign(static_cast<size_t>(num_segments), 0);
+    ResetSegments(num_segments);
+  }
+
+  /// Starts a new table of `num_segments` segments over the stored
+  /// entries, which stay readable through the SegmentRanges that closed
+  /// them.
+  void ResetSegments(int num_segments) {
+    segments_.clear();
+    open_begin_ = static_cast<uint32_t>(entries_.size());
     num_segments_ = num_segments;
   }
 
@@ -84,22 +107,30 @@ class FlatProbeSets {
     pool_.resize(pool_size);
   }
 
-  /// Closes the current segment.  A wildcard segment matched every indexed
-  /// id with α = 1 (probe-set construction blew up); its entry range is
-  /// empty.  Must be called exactly num_segments times after Reset.
+  /// Closes the current segment: the entries appended since the previous
+  /// segment was added, or none for a wildcard.  Together with AddSegment,
+  /// must be called exactly num_segments times after a reset.
   void FinishSegment(bool wildcard) {
-    const int x = static_cast<int>(segment_begin_.size()) - 1;
-    wildcard_[static_cast<size_t>(x)] = wildcard ? 1 : 0;
-    segment_begin_.push_back(static_cast<uint32_t>(entries_.size()));
+    AddSegment(SegmentRange{open_begin_, static_cast<uint32_t>(entries_.size()),
+                            wildcard});
+  }
+
+  /// Adds a segment made of stored entries, such as one an earlier table
+  /// closed with FinishSegment.
+  void AddSegment(SegmentRange range) {
+    segments_.push_back(range);
+    open_begin_ = static_cast<uint32_t>(entries_.size());
   }
 
   int num_segments() const { return num_segments_; }
-  bool is_wildcard(int x) const {
-    return wildcard_[static_cast<size_t>(x)] != 0;
+  /// The range of segment `x` of the current table (x < segments added).
+  const SegmentRange& segment(int x) const {
+    return segments_[static_cast<size_t>(x)];
   }
+  bool is_wildcard(int x) const { return segment(x).wildcard; }
   std::span<const Entry> segment_entries(int x) const {
-    return {entries_.data() + segment_begin_[static_cast<size_t>(x)],
-            entries_.data() + segment_begin_[static_cast<size_t>(x) + 1]};
+    const SegmentRange& range = segment(x);
+    return {entries_.data() + range.begin, entries_.data() + range.end};
   }
   std::string_view text(const Entry& e) const {
     return {pool_.data() + e.offset, e.length};
@@ -110,8 +141,8 @@ class FlatProbeSets {
  private:
   std::string pool_;
   std::vector<Entry> entries_;
-  std::vector<uint32_t> segment_begin_;  // num_segments() + 1 once built
-  std::vector<uint8_t> wildcard_;
+  std::vector<SegmentRange> segments_;  // the current table, in order
+  uint32_t open_begin_ = 0;  // first entry of the segment under construction
   int num_segments_ = 0;
 };
 
@@ -123,13 +154,13 @@ class FlatProbeSets {
 /// regions through the allocating path).
 struct ProbeSetScratch {
   struct RawOccurrence {
+    uint64_t prefix;       // first 8 text bytes, big-endian, zero-padded
     uint32_t text_offset;  // into text_pool, fixed stride per call
     int start;
     double prob;
   };
   std::string text_pool;                 // enumerated instance texts
-  std::vector<RawOccurrence> occurrences;
-  std::vector<uint32_t> order;           // sort permutation over occurrences
+  std::vector<RawOccurrence> occurrences;  // sorted by (text, start)
   std::vector<ProbeOccurrence> group;    // one text's occurrence run
   std::vector<int> starts;               // exact-union mode only
   // Window world enumeration (odometer over uncertain positions).

@@ -30,12 +30,16 @@ FlatPostings::FlatPostings(int key_length, FingerprintFn fingerprint)
       fingerprint_(fingerprint != nullptr ? fingerprint : &Fingerprint64) {}
 
 void FlatPostings::Rehash(size_t slot_count) {
+  // Entries keep no fingerprint: it is recomputed from the key arena through
+  // fingerprint_, so an injected test function hashes rehashed keys too.
   slots_.assign(slot_count, 0);
   const size_t mask = slot_count - 1;
   for (uint32_t e = 0; e < entries_.size(); ++e) {
-    size_t slot = entries_[e].fingerprint & mask;
+    const std::string_view key = KeyAt(e);
+    const uint64_t fp = fingerprint_(key.data(), key.size());
+    size_t slot = fp & mask;
     while (slots_[slot] != 0) slot = (slot + 1) & mask;
-    slots_[slot] = e + 1;
+    slots_[slot] = SlotOf(fp, e);
   }
 }
 
@@ -46,12 +50,12 @@ void FlatPostings::Add(std::string_view key, Posting posting) {
   size_t slot = fp & mask;
   uint32_t entry_index;
   for (;;) {
-    const uint32_t stored = slots_[slot];
+    const uint64_t stored = slots_[slot];
     if (stored == 0) {
       entry_index = static_cast<uint32_t>(entries_.size());
-      entries_.push_back(Entry{fp});
+      entries_.push_back(Entry{});
       key_arena_.insert(key_arena_.end(), key.begin(), key.end());
-      slots_[slot] = entry_index + 1;
+      slots_[slot] = SlotOf(fp, entry_index);
       // Growing right after the insertion that crossed the load threshold
       // makes the slot count a pure function of the number of distinct
       // keys — so MemoryBytes() is identical however the same content was
@@ -61,9 +65,8 @@ void FlatPostings::Add(std::string_view key, Posting posting) {
       }
       break;
     }
-    const uint32_t candidate = stored - 1;
-    if (entries_[candidate].fingerprint == fp && KeyAt(candidate) == key) {
-      entry_index = candidate;
+    if (TagMatches(stored, fp) && KeyAt(EntryOf(stored)) == key) {
+      entry_index = EntryOf(stored);
       break;
     }
     slot = (slot + 1) & mask;
@@ -98,14 +101,15 @@ FlatPostings::ListView FlatPostings::FindWithFingerprint(
   const size_t mask = slots_.size() - 1;
   size_t slot = fp & mask;
   for (;;) {
-    const uint32_t stored = slots_[slot];
+    const uint64_t stored = slots_[slot];
     if (stored == 0) return {};
-    const uint32_t candidate = stored - 1;
-    if (entries_[candidate].fingerprint == fp &&
-        std::memcmp(key_arena_.data() +
-                        candidate * static_cast<size_t>(key_length_),
-                    key.data(), key.size()) == 0) {
-      return ViewOf(entries_[candidate]);
+    if (TagMatches(stored, fp)) {
+      const uint32_t candidate = EntryOf(stored);
+      if (std::memcmp(key_arena_.data() +
+                          candidate * static_cast<size_t>(key_length_),
+                      key.data(), key.size()) == 0) {
+        return ViewOf(entries_[candidate]);
+      }
     }
     slot = (slot + 1) & mask;
   }
@@ -140,7 +144,7 @@ void FlatPostings::Freeze() {
 
 size_t FlatPostings::MemoryBytes() const {
   return key_arena_.size() + entries_.size() * sizeof(Entry) +
-         slots_.size() * sizeof(uint32_t) +
+         slots_.size() * sizeof(uint64_t) +
          static_cast<size_t>(num_postings_) * sizeof(Posting);
 }
 

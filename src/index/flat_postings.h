@@ -32,6 +32,9 @@ using FingerprintFn = uint64_t (*)(const void* data, size_t len);
 /// single character arena with stride `key_length` and lookup needs no
 /// per-key size header: an open-addressing table over 64-bit fingerprints
 /// selects a slot, and one `memcmp` of `key_length` bytes confirms it.
+/// Each slot carries the upper 32 fingerprint bits next to its entry
+/// index, so a lookup rejects a mismatched key without touching the
+/// entries or the key arena (most probe keys are absent).
 /// `Find` is heterogeneous (`string_view` in, spans out) and performs no
 /// heap allocation — the map-based layout it replaces copied every probe
 /// substring into a `std::string` just to hash it.
@@ -103,7 +106,7 @@ class FlatPostings {
   size_t num_keys() const { return entries_.size(); }
   int64_t num_postings() const { return num_postings_; }
 
-  /// Bytes of the flat layout: key arena + hash entries + slot table +
+  /// Bytes of the flat layout: key arena + entries + tagged slot table +
   /// postings.  A function of content only (sizes, not capacities), so the
   /// number is deterministic and save/load round-trips preserve it.
   size_t MemoryBytes() const;
@@ -122,7 +125,6 @@ class FlatPostings {
 
  private:
   struct Entry {
-    uint64_t fingerprint;
     uint32_t arena_begin = 0;  // frozen extent within arena_
     uint32_t arena_count = 0;
     int32_t delta_list = -1;   // index into delta_lists_, -1 when none
@@ -142,13 +144,25 @@ class FlatPostings {
     }
     return view;
   }
+  // A slot packs the fingerprint's upper 32 bits (the tag) above
+  // entry index + 1; 0 marks an empty slot.  The slot index comes from the
+  // fingerprint's low bits, so the tag adds bits the index does not.
+  static uint64_t SlotOf(uint64_t fp, uint32_t entry_index) {
+    return (fp >> 32) << 32 | (static_cast<uint64_t>(entry_index) + 1);
+  }
+  static bool TagMatches(uint64_t slot, uint64_t fp) {
+    return (slot >> 32) == (fp >> 32);
+  }
+  static uint32_t EntryOf(uint64_t slot) {
+    return static_cast<uint32_t>(slot) - 1;
+  }
   void Rehash(size_t slot_count);
 
   int key_length_;
   FingerprintFn fingerprint_;
   std::vector<Entry> entries_;
   std::vector<char> key_arena_;    // entry i's key at [i*key_length, ...)
-  std::vector<uint32_t> slots_;    // open addressing; entry index + 1, 0 empty
+  std::vector<uint64_t> slots_;    // open addressing; SlotOf(), 0 empty
   std::vector<Posting> arena_;     // frozen postings, grouped by key
   std::vector<std::vector<Posting>> delta_lists_;
   int64_t num_postings_ = 0;

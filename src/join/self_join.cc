@@ -182,8 +182,9 @@ Result<SelfJoinResult> SimilaritySelfJoin(
                            wave_count);
 
     // ---- phase 1 (sequential): make the wave visible to its own probes ---
-    // After this the index is frozen until the next wave: the concurrent
-    // probe phases below only use its const query path.
+    // After this the index stays unchanged until the next wave (it is never
+    // Freeze()d: probes read the delta lists); the concurrent probe phases
+    // below only use its const query path.
     if (options.use_qgram_filter) {
       const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
       ScopedTimer timer(&stats.index_build_time);

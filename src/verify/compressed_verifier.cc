@@ -57,12 +57,13 @@ class CompressedTrieView {
   // Every position at the last depth ends a leaf node's label.
   bool IsLeaf(Key v) const { return Depth(v) == trie_.depth(); }
   double Prob(Key v) const { return trie_.node(Node(v)).prob; }
+  static int Depth(Key v) { return static_cast<int>(v >> 32); }
+  int InstanceLength() const { return trie_.depth(); }
 
  private:
   static Key Pack(int depth, int32_t node) {
     return (static_cast<Key>(depth) << 32) | static_cast<Key>(node);
   }
-  static int Depth(Key v) { return static_cast<int>(v >> 32); }
   static int32_t Node(Key v) { return static_cast<int32_t>(v & 0xffffffff); }
 
   const CompressedInstanceTrie& trie_;

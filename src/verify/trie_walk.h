@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -17,10 +18,11 @@ namespace ujoin::internal {
 /// \brief Walks the on-demand trie of S against a fixed materialized T_R
 /// (Section 6.2), shared by TrieVerifier and CompressedTrieVerifier.
 ///
-/// For each explored S prefix u the walk keeps the active set
-/// A(u) = {(v, D(u, v)) : D(u, v) <= k} of T_R positions, in ascending key
-/// order, and derives each child's set from its parent's alone.  `Trie` is
-/// a view of T_R that numbers positions with an ordered integer `Key`:
+/// For each explored S prefix u the walk keeps the active set A(u) of T_R
+/// positions v with D(u, v) <= k that lie inside the length band (below),
+/// in ascending key order, and derives each child's set from its parent's
+/// alone.  `Trie` is a view of T_R that numbers positions with an ordered
+/// integer `Key`:
 ///
 ///   Key Root()                 the empty prefix ε
 ///   Key Parent(Key v)          for v != Root()
@@ -28,6 +30,18 @@ namespace ujoin::internal {
 ///   std::pair<Key, Key> Children(Key v)   [lo, hi), empty for leaves
 ///   bool IsLeaf(Key v)         v spells a full instance of R
 ///   double Prob(Key v)         probability of v's prefix
+///   int Depth(Key v)           length of v's prefix
+///   int InstanceLength()       |R|, the depth of every full instance
+///
+/// Length band (PASS-JOIN's length-aware verification): the rest of any
+/// alignment through the cell (u, v) costs at least the gap between the
+/// remaining lengths, so (v, D) is admitted only when
+/// D + |(|S| - |u|) - (|R| - depth(v))| <= k.  That sum never falls along an
+/// alignment path, so every cell on a path of cost <= k passes the test
+/// with its exact D, and a dropped cell never lowers a kept cell's D.  The
+/// full instances with D <= k at |u| = |S| — the only entries that add to
+/// the result — are therefore exactly those of the unbanded walk, in the
+/// same order; a subtree whose set empties early contributes 0 either way.
 ///
 /// The merge below relies on the view being numbered breadth-first over a
 /// levelled trie: keys ascend by depth, Parent() is nondecreasing in the
@@ -49,19 +63,23 @@ class TrieWalker {
         k_(k),
         tau_(tau),
         stats_(stats),
+        s_len_(s.length()),
+        r_len_(trie.InstanceLength()),
         sets_(static_cast<size_t>(s.length()) + 1) {}
 
   /// Walks to completion (or to the τ verdict) and returns the matching
   /// mass found: exact Pr(ed(R, S) <= k) when no τ was given.
   double Run() {
-    // A(ε): every position of depth <= k, at distance equal to its depth.
-    // Each depth's positions form one key range, the children of the
-    // previous depth's range.
+    // A(ε): every in-band position of depth <= k, at distance equal to its
+    // depth.  Each depth's positions form one key range, the children of
+    // the previous depth's range.
     ActiveSet& root = sets_[0];
     Key lo = trie_.Root();
     Key hi = lo + 1;
     for (int32_t d = 0; d <= k_ && lo < hi; ++d) {
-      for (Key v = lo; v < hi; ++v) root.push_back(Entry{v, d});
+      if (d <= Slack(0, d)) {
+        for (Key v = lo; v < hi; ++v) root.push_back(Entry{v, d});
+      }
       lo = trie_.Children(lo).first;
       hi = trie_.Children(hi - 1).second;
     }
@@ -92,6 +110,12 @@ class TrieWalker {
     Key key;
     int32_t dist;  // exact edit distance (<= k) from the current S prefix
   };
+
+  // The largest distance the band admits at the cell (u, v) with |u| =
+  // `u_len` and depth(v) = `v_depth`; negative when no distance is.
+  int32_t Slack(int u_len, int v_depth) const {
+    return k_ - std::abs(s_len_ - u_len - (r_len_ - v_depth));
+  }
 
   using ActiveSet = std::vector<Entry>;  // ascending key
 
@@ -140,7 +164,8 @@ class TrieWalker {
   ///   D(u, parent(v)) + [symbol(v) != c]   (match / substitute),
   ///   D(u, v) + 1                          (delete c),
   ///   D(u·c, parent(v)) + 1                (insert symbol(v)),
-  /// and D(u·c, ε) = |u·c|.
+  /// and D(u·c, ε) = |u·c|.  A predecessor missing from its set counts as
+  /// out of reach, and v is kept only when D(u·c, v) is within the band.
   ///
   /// A candidate is ε (when |u·c| <= k), a member of A(u), a child of one,
   /// or a child of a position already in A(u·c) (insertion chains).  These
@@ -187,6 +212,8 @@ class TrieWalker {
       if (kid < kid_end && kid == v) ++kid;
       if (next_kid < next_kid_end && next_kid == v) ++next_kid;
 
+      const int32_t slack = Slack(new_len, trie_.Depth(v));
+      if (slack < 0) continue;  // out of band at any distance
       int32_t best;
       if (v == root) {
         best = static_cast<int32_t>(new_len);  // ed(u·c, ε) = |u·c|
@@ -204,7 +231,7 @@ class TrieWalker {
           best = std::min(best, next[left].dist + 1);  // insert symbol(v)
         }
       }
-      if (best <= k_) next.push_back(Entry{v, best});
+      if (best <= slack) next.push_back(Entry{v, best});
     }
   }
 
@@ -213,6 +240,8 @@ class TrieWalker {
   const int32_t k_;
   const double tau_;  // negative disables early termination
   VerifyStats* stats_;
+  const int32_t s_len_;  // |S|
+  const int32_t r_len_;  // |R|
   std::vector<ActiveSet> sets_;  // sets_[d]: A of the current depth-d prefix
   double total_ = 0.0;     // accumulated matching mass (only grows)
   double resolved_ = 0.0;  // S-prefix mass with a final contribution

@@ -29,6 +29,8 @@ class PlainTrieView {
   }
   bool IsLeaf(Key v) const { return trie_.IsLeaf(v); }
   double Prob(Key v) const { return trie_.node(v).prob; }
+  int Depth(Key v) const { return trie_.node(v).depth; }
+  int InstanceLength() const { return trie_.depth(); }
 
  private:
   const InstanceTrie& trie_;

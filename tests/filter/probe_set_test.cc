@@ -1,10 +1,15 @@
 #include "filter/probe_set.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "filter/selection.h"
 #include "testing/test_util.h"
 #include "text/alphabet.h"
 #include "text/possible_worlds.h"
@@ -174,6 +179,91 @@ TEST(ProbeSetTest, ProbabilitiesArePositiveAndSortedUnique) {
       }
     }
   }
+}
+
+// The probe set of `seg` built the plain way: instances grouped in a
+// std::map keyed by std::string, whose byte order (unsigned char) the
+// builder's 8-byte prefix comparison must reproduce.
+std::vector<ProbeSubstring> ReferenceProbeSet(const UncertainString& r,
+                                              int s_len, const Segment& seg,
+                                              int k) {
+  const SelectionWindow window =
+      SelectSubstringWindow(r.length(), s_len, seg, k);
+  std::map<std::string, std::vector<ProbeOccurrence>> groups;
+  for (int start = window.lo; start <= window.hi; ++start) {
+    ForEachWorld(r.Substring(start, seg.length),
+                 [&](const std::string& instance, double prob) {
+                   groups[instance].push_back(ProbeOccurrence{start, prob});
+                 });
+  }
+  std::vector<ProbeSubstring> out;
+  for (const auto& [text, occurrences] : groups) {
+    const double prob = GroupedOccurrenceProbability(r, text, occurrences);
+    if (prob > 0.0) out.push_back(ProbeSubstring{text, prob});
+  }
+  return out;
+}
+
+void ExpectSameProbeSet(const std::vector<ProbeSubstring>& got,
+                        const std::vector<ProbeSubstring>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].text, want[i].text) << what << " i=" << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].prob),
+              std::bit_cast<uint64_t>(want[i].prob))
+        << what << " i=" << i;
+  }
+}
+
+// Segments longer than 8 bytes whose instances share their first 8 bytes,
+// over symbols on both sides of 0x80: grouping by the 8-byte big-endian
+// prefix and then the remaining bytes must give the texts, order and
+// probability bits of a std::string-ordered reference.
+TEST(ProbeSetTest, PrefixGroupingMatchesStringOrder) {
+  const char kHigh = static_cast<char>(0xe9);
+  const std::vector<char> symbols = {'a', 'b', '\x7f', static_cast<char>(0x80),
+                                     kHigh, static_cast<char>(0xff)};
+  Rng rng(80);
+  int shared_prefix_neighbours = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    // Mostly one high symbol, so that instances at different starts share
+    // long prefixes; the rest drawn from both sides of 0x80.
+    UncertainString::Builder builder;
+    const int length = static_cast<int>(rng.UniformInt(14, 28));
+    for (int i = 0; i < length; ++i) {
+      const char c = rng.Bernoulli(0.7) ? kHigh : symbols[rng.Uniform(6)];
+      if (!rng.Bernoulli(0.25)) {
+        builder.AddCertain(c);
+        continue;
+      }
+      char other = symbols[rng.Uniform(6)];
+      if (other == c) other = c == 'a' ? 'b' : 'a';
+      const double p = 0.2 + 0.6 * rng.UniformDouble();
+      builder.AddUncertain({{c, p}, {other, 1.0 - p}});
+    }
+    Result<UncertainString> r = builder.Build();
+    ASSERT_TRUE(r.ok());
+    const int k = static_cast<int>(rng.UniformInt(1, 3));
+    const int seg_length = static_cast<int>(rng.UniformInt(9, 12));
+    const Segment seg{
+        static_cast<int>(rng.Uniform(
+            static_cast<uint64_t>(length - seg_length + 1))),
+        seg_length};
+    Result<std::vector<ProbeSubstring>> got =
+        BuildProbeSet(*r, length, seg, k, ProbeSetOptions{});
+    ASSERT_TRUE(got.ok());
+    const std::vector<ProbeSubstring> want =
+        ReferenceProbeSet(*r, length, seg, k);
+    ExpectSameProbeSet(*got, want, "trial " + std::to_string(trial));
+    for (size_t i = 1; i < got->size(); ++i) {
+      if ((*got)[i - 1].text.compare(0, 8, (*got)[i].text, 0, 8) == 0) {
+        ++shared_prefix_neighbours;
+      }
+    }
+  }
+  // The tail comparison must actually have decided some orders.
+  EXPECT_GT(shared_prefix_neighbours, 100);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // invisible in the results, heap and linear merges must agree bit for bit,
 // and the steady-state probe path must not touch the heap allocator.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,6 +155,177 @@ TEST(FrozenIndexTest, WorkspaceReuseMatchesFreshWorkspace) {
   }
 }
 
+void ExpectSameStats(const IndexQueryStats& a, const IndexQueryStats& b,
+                     const char* what) {
+  EXPECT_EQ(a.lists_scanned, b.lists_scanned) << what;
+  EXPECT_EQ(a.postings_scanned, b.postings_scanned) << what;
+  EXPECT_EQ(a.ids_touched, b.ids_touched) << what;
+  EXPECT_EQ(a.support_pruned, b.support_pruned) << what;
+  EXPECT_EQ(a.probability_pruned, b.probability_pruned) << what;
+  EXPECT_EQ(a.candidates, b.candidates) << what;
+}
+
+// `text` with the given positions uncertain: each keeps its symbol at
+// probability `p` and gains `other` at 1 - p.
+UncertainString WithAlternatives(const std::string& text,
+                                 const std::vector<int>& positions, double p,
+                                 char other) {
+  UncertainString::Builder builder;
+  for (int i = 0; i < static_cast<int>(text.size()); ++i) {
+    const char c = text[static_cast<size_t>(i)];
+    if (std::find(positions.begin(), positions.end(), i) != positions.end()) {
+      builder.AddUncertain({{c, p}, {other, 1.0 - p}});
+    } else {
+      builder.AddCertain(c);
+    }
+  }
+  Result<UncertainString> s = builder.Build();
+  UJOIN_CHECK(s.ok());
+  return std::move(s).value();
+}
+
+// Probes every bucket of [|r| - k, |r| + k] through `workspace` and checks
+// each answer, candidates and stats, against a fresh workspace's.  Returns
+// the fresh answers, concatenated.
+std::vector<IndexCandidate> ProbeAllBucketsLikeFresh(
+    const InvertedSegmentIndex& index, const UncertainString& r, double tau,
+    QueryWorkspace* workspace, const char* what) {
+  std::vector<IndexCandidate> all;
+  for (int l = r.length() - index.k(); l <= r.length() + index.k(); ++l) {
+    IndexQueryStats memo_stats;
+    const std::vector<IndexCandidate> with_memo =
+        Copy(index.Query(r, l, tau, workspace, &memo_stats));
+    QueryWorkspace fresh;
+    IndexQueryStats fresh_stats;
+    const std::vector<IndexCandidate> with_fresh =
+        Copy(index.Query(r, l, tau, &fresh, &fresh_stats));
+    ExpectSameCandidates(with_memo, with_fresh, what);
+    ExpectSameStats(memo_stats, fresh_stats, what);
+    all.insert(all.end(), with_fresh.begin(), with_fresh.end());
+  }
+  return all;
+}
+
+bool SameCandidates(const std::vector<IndexCandidate>& a,
+                    const std::vector<IndexCandidate>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].matched_segments != b[i].matched_segments ||
+        a[i].upper_bound != b[i].upper_bound) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The probe-set memo belongs to the probe string's content, not to its
+// address: reassigning one variable to a string of the same length that
+// differs in one symbol or in one probability must not reuse the old sets.
+TEST(FrozenIndexTest, ProbeSetMemoFollowsContentNotAddress) {
+  const std::string text = "ACGTTGCAACGTAC";
+  std::string edited = text;
+  edited[10] = 'T';
+  const UncertainString variants[] = {
+      WithAlternatives(text, {4}, 0.7, 'A'),
+      WithAlternatives(edited, {4}, 0.7, 'A'),  // one symbol differs
+      WithAlternatives(text, {4}, 0.6, 'A'),    // one probability differs
+      WithAlternatives(text, {4}, 0.7, 'A'),    // back to the first
+  };
+
+  // Index the variants' instances and one-edit neighbours, so that every
+  // variant has candidates of its own in each bucket.
+  const int k = 1;
+  InvertedSegmentIndex index(k, /*q=*/3);
+  uint32_t id = 0;
+  for (const std::string& base : {text, edited}) {
+    std::string extended = base;
+    extended.push_back('A');
+    std::string substituted = base;
+    substituted[0] = 'T';
+    for (const std::string& s :
+         {base, base.substr(1), extended, substituted}) {
+      ASSERT_TRUE(index.Insert(id++, UncertainString::FromDeterministic(s))
+                      .ok());
+    }
+    ASSERT_TRUE(index.Insert(id++, WithAlternatives(base, {4}, 0.7, 'A')).ok());
+  }
+  index.Freeze();
+
+  QueryWorkspace reused;
+  UncertainString r;
+  std::vector<std::vector<IndexCandidate>> answers;
+  for (const UncertainString& variant : variants) {
+    r = variant;  // same variable, same length, new content
+    answers.push_back(
+        ProbeAllBucketsLikeFresh(index, r, /*tau=*/0.05, &reused, "variant"));
+  }
+  // The variants must answer differently, or a stale memo would go unseen.
+  EXPECT_FALSE(SameCandidates(answers[0], answers[1]));
+  EXPECT_FALSE(SameCandidates(answers[0], answers[2]));
+  EXPECT_TRUE(SameCandidates(answers[0], answers[3]));
+}
+
+// The memo also belongs to the index's settings: one workspace alternating
+// between two indexes over the same strings must answer as a fresh one,
+// whether the indexes differ in k, in the instance cap (one side closes a
+// segment as a wildcard) or in the union-probability mode.
+TEST(FrozenIndexTest, ProbeSetMemoFollowsIndexSettings) {
+  ProbeSetOptions capped;
+  capped.max_instances_per_window = 2;
+  ProbeSetOptions exact_union;
+  exact_union.exact_union_probability = true;
+  struct Settings {
+    int k;
+    ProbeSetOptions options;
+  };
+  struct SettingsPair {
+    const char* differ_in;
+    Settings a;
+    Settings b;
+  };
+  const SettingsPair pairs[] = {
+      {"k", {1, {}}, {2, {}}},
+      {"instance cap", {2, {}}, {2, capped}},
+      {"union mode", {2, {}}, {2, exact_union}},
+  };
+
+  // A repetitive probe: overlapping occurrences of one text (where the
+  // exact union differs from the grouped recursion) and segments with more
+  // than two instances (wildcards under the cap).
+  const UncertainString r =
+      WithAlternatives("AAAAAAAAAAAAAA", {1, 3, 6, 9, 12}, 0.7, 'C');
+  const Alphabet ac = Alphabet::Create("AC").value();
+  testing::RandomStringOptions opt;
+  opt.min_length = r.length() - 2;
+  opt.max_length = r.length() + 2;
+  opt.theta = 0.2;
+  opt.max_alternatives = 2;
+  Rng rng(1907);
+  std::vector<UncertainString> strings;
+  for (int i = 0; i < 80; ++i) {
+    strings.push_back(testing::RandomUncertainString(ac, opt, rng));
+  }
+
+  for (const auto& [differ_in, a, b] : pairs) {
+    SCOPED_TRACE(differ_in);
+    InvertedSegmentIndex index_a(a.k, /*q=*/3, a.options);
+    InvertedSegmentIndex index_b(b.k, /*q=*/3, b.options);
+    for (uint32_t id = 0; id < strings.size(); ++id) {
+      ASSERT_TRUE(index_a.Insert(id, strings[id]).ok());
+      ASSERT_TRUE(index_b.Insert(id, strings[id]).ok());
+    }
+    QueryWorkspace shared;
+    for (int round = 0; round < 2; ++round) {
+      const std::vector<IndexCandidate> answer_a =
+          ProbeAllBucketsLikeFresh(index_a, r, 0.05, &shared, "index a");
+      const std::vector<IndexCandidate> answer_b =
+          ProbeAllBucketsLikeFresh(index_b, r, 0.05, &shared, "index b");
+      // The settings must change the answer, or the test shows nothing.
+      EXPECT_FALSE(SameCandidates(answer_a, answer_b));
+    }
+  }
+}
+
 // The heap merge (threshold 0: always heap) and the linear min-scan
 // (huge threshold: never heap) must produce bit-identical candidates.
 TEST(FrozenIndexTest, HeapAndLinearMergesAgree) {
@@ -242,6 +416,28 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
   EXPECT_EQ(allocations, 0u)
       << "steady-state Query must not allocate; got " << allocations
       << " allocations";
+
+  // Same property when every query rebuilds the probe-set memo: two probe
+  // strings alternate through the workspace, whose memo copies each in
+  // turn into storage the first round grew.
+  const UncertainString other = testing::RandomUncertainString(dna, opt, rng);
+  const size_t other_size =
+      index.Query(other, length, 0.01, &workspace, &stats).size();
+  for (int i = 0; i < 2; ++i) {
+    index.Query(r, length, 0.01, &workspace, &stats);
+    index.Query(other, length, 0.01, &workspace, &stats);
+  }
+  size_t alternating_sizes;
+  {
+    CountAllocations counter;
+    alternating_sizes =
+        index.Query(r, length, 0.01, &workspace, &stats).size() +
+        index.Query(other, length, 0.01, &workspace, &stats).size();
+    allocations = counter.count();
+  }
+  EXPECT_EQ(alternating_sizes, warm_size + other_size);
+  EXPECT_EQ(allocations, 0u)
+      << "rebuilding the probe-set memo must not allocate once warm";
 
   // Same property with the heap merges forced on.
   workspace.heap_merge_threshold = 0;

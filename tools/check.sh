@@ -13,7 +13,10 @@
 # serve`, a /metrics scrape of the serve-layer series, a clean SIGINT
 # shutdown, and the watchdog-stall leg (slow query under --watchdog-ms,
 # /debug/stalls content identical across 1/2/4 concurrent clients, flight
-# records validated by tools/validate_flight_record.py).
+# records validated by tools/validate_flight_record.py), and a benchmark
+# harness smoke: perfbench/ built from source and one short traced
+# join_names run, which exits 0 only when its 1-thread, 2-thread and
+# traced-replay pair lists agree byte for byte and its layer times close.
 #
 # Usage: tools/check.sh [jobs]
 #   jobs defaults to the machine's core count.
@@ -31,7 +34,7 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTION
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 
-echo "==> [1/12] invariant lint + effect analysis (self-tests + repo scans)"
+echo "==> [1/13] invariant lint + effect analysis (self-tests + repo scans)"
 python3 tools/ujoin_lint.py --self-test
 python3 tools/ujoin_lint.py
 python3 tools/ujoin_effects.py --self-test
@@ -39,11 +42,11 @@ python3 tools/ujoin_effects.py --require-roots
 python3 tools/validate_query_log.py --self-test
 python3 tools/validate_flight_record.py --self-test
 
-echo "==> [2/12] configure + build (Release, warnings as errors)"
+echo "==> [2/13] configure + build (Release, warnings as errors)"
 cmake -B build -S . -DUJOIN_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 
-echo "==> [3/12] clang-tidy (profile: .clang-tidy)"
+echo "==> [3/13] clang-tidy (profile: .clang-tidy)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # The build dir holds compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS).
   find src tools bench -name '*.cc' -print0 |
@@ -52,10 +55,10 @@ else
   echo "clang-tidy not installed: skipping (CI runs this step)"
 fi
 
-echo "==> [4/12] tier-1 test suite"
+echo "==> [4/13] tier-1 test suite"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> [5/12] configure + build (ThreadSanitizer)"
+echo "==> [5/13] configure + build (ThreadSanitizer)"
 cmake -B build-tsan -S . -DUJOIN_SANITIZE=thread \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
@@ -65,24 +68,24 @@ TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
   serve_idle_test)
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
 
-echo "==> [6/12] parallel join tests under TSan"
+echo "==> [6/13] parallel join tests under TSan"
 for t in "${TSAN_TARGETS[@]}"; do
   echo "--- $t"
   "./build-tsan/tests/$t"
 done
 
-echo "==> [7/12] full suite under UBSan"
+echo "==> [7/13] full suite under UBSan"
 cmake -B build-ubsan -S . -DUJOIN_SANITIZE=undefined \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -LE lint
 
-echo "==> [8/12] index probe micro-bench (speedup + zero-allocation gates)"
+echo "==> [8/13] index probe micro-bench (speedup + zero-allocation gates)"
 # Tiny scale: this is a smoke run of the gates, not a timing measurement.
 UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   ./build/bench/bench_index_probe build/BENCH_probe.json
 
-echo "==> [9/12] CLI observability smoke (run report + trace schemas)"
+echo "==> [9/13] CLI observability smoke (run report + trace schemas)"
 OBS_DIR="build/obs-smoke"
 mkdir -p "$OBS_DIR"
 ./build/tools/ujoin_cli generate --kind=names --size=200 --seed=11 \
@@ -127,7 +130,7 @@ assert all({"ts", "dur", "tid"} <= e.keys()
 print("run report and trace are schema-valid")
 PYEOF
 
-echo "==> [10/12] zero-allocation and overhead gates with recording on"
+echo "==> [10/13] zero-allocation and overhead gates with recording on"
 ./build/tests/frozen_index_test \
   --gtest_filter='FrozenIndexTest.SteadyStateQueryDoesNotAllocate'
 # Smoke gate only: at this tiny scale a 1-CPU box needs a wide margin and
@@ -138,10 +141,16 @@ UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   UJOIN_OBS_OVERHEAD_REPS="${UJOIN_OBS_OVERHEAD_REPS:-15}" \
   ./build/bench/bench_obs_overhead build/BENCH_obs.json
 
-echo "==> [11/12] live monitoring smoke (scrape endpoint + trace sampling)"
+echo "==> [11/13] live monitoring smoke (scrape endpoint + trace sampling)"
 bash tools/live_smoke.sh build
 
-echo "==> [12/12] resident service smoke (socket batch + scrape + SIGINT)"
+echo "==> [12/13] resident service smoke (socket batch + scrape + SIGINT)"
 bash tools/serve_smoke.sh build
+
+echo "==> [13/13] benchmark harness smoke (build + one traced join_names run)"
+# The traced replay calls InvertedSegmentIndex::Query, QueryWorkspace and
+# internal::PairVerifier::Decide directly, so the harness must keep building.
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+  --workload join_names --seed 1 --seconds 1 --trace 1
 
 echo "all checks passed"

@@ -17,7 +17,8 @@ Checks, per document:
   * schema == "ujoin.flight_record" and schema_version == 1;
   * reason is "manual", "crash", or "watchdog"; exactly the "crash" reason
     carries a non-zero delivering signal;
-  * build holds a non-empty compiler string and a known simd_isa;
+  * build holds a non-empty compiler string and simd_isa "scalar", the
+    one kernel body every build compiles (simd::kIsaName);
   * the registry lists every event kind in registry order with
     non-negative totals; dropped_events is non-negative;
   * threads_registered matches the per-thread list, slots are unique,
@@ -60,7 +61,8 @@ EVENT_KINDS = [
     "conn_idle_close", "serve_query", "stall_captured",
 ]
 REASONS = ("manual", "crash", "watchdog")
-SIMD_ISAS = ("sse2", "avx2", "neon", "scalar")
+# simd::kIsaName (src/util/simd.h): every target runs the portable kernels.
+SIMD_ISAS = ("scalar",)
 
 MAX_THREAD_SLOTS = 32    # FlightRecorder::kMaxThreadSlots
 EVENTS_PER_THREAD = 128  # FlightRecorder::kEventsPerThread
@@ -226,7 +228,7 @@ def _good_document() -> dict:
         "schema_version": 1,
         "reason": "manual",
         "signal": 0,
-        "build": {"compiler": "12.2.0", "simd_isa": "avx2"},
+        "build": {"compiler": "12.2.0", "simd_isa": "scalar"},
         "dropped_events": 0,
         "threads_registered": 2,
         "registry": {
@@ -309,6 +311,11 @@ def run_self_test() -> int:
     doc = _good_document()
     doc["build"]["simd_isa"] = "avx1024"
     expect("unknown simd_isa", doc, False)
+
+    # An ISA no build writes: the kernels have one portable body.
+    doc = _good_document()
+    doc["build"]["simd_isa"] = "avx2"
+    expect("simd_isa other than scalar", doc, False)
 
     doc = _good_document()
     del doc["registry"]["serve_query"]
