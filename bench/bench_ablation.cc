@@ -3,7 +3,7 @@
 //
 //  * selection window policy — the ±k window the paper's examples use
 //    (kPositional) versus the tighter shift-bounded window its prose
-//    formula describes (kShiftBounded),
+//    formula describes (kShiftBounded, the default),
 //  * probabilistic q-gram pruning (Theorem 2) versus the conservative
 //    support-only mode (exact Lemma 5),
 //  * the paper's grouped occurrence probabilities versus exact union

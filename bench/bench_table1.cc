@@ -42,6 +42,8 @@ QGramOptions Table1Options() {
   QGramOptions options;
   options.k = 1;
   options.q = 2;
+  // The table's probe sets come from the ±k window (DESIGN.md Finding 1).
+  options.probe.selection = SelectionPolicy::kPositional;
   return options;
 }
 

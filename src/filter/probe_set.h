@@ -34,28 +34,23 @@ struct ProbeSetOptions {
   /// against pathological uncertainty blow-up (|q(r,x)| grows like γ^(θq)).
   int64_t max_instances_per_window = 1 << 14;
 
-  /// Substring selection window (see SelectionPolicy).
-  SelectionPolicy selection = SelectionPolicy::kPositional;
+  /// Substring selection window (see SelectionPolicy).  The shift-bounded
+  /// window probes at most k+1 starts per segment against the positional
+  /// window's 2k+1, with the same completeness (DESIGN.md Finding 1).
+  SelectionPolicy selection = SelectionPolicy::kShiftBounded;
 
   /// When true, union probabilities over overlapping occurrences are computed
   /// exactly by enumerating the worlds of the covering region instead of the
   /// paper's overlap-grouping recursion (Section 3.2 Steps 1-2).  Exact mode
   /// falls back to the recursion when the region has too many worlds.
   bool exact_union_probability = false;
-
-  friend bool operator==(const ProbeSetOptions&,
-                         const ProbeSetOptions&) = default;
 };
 
 /// \brief The probe sets q(r, x) of all m segments of one length bucket in
 /// one flat, allocation-free-to-read layout.
 ///
 /// Substring texts are appended to a shared character pool; entries carry
-/// (offset, length, prob), and each segment is a range of entries.  A
-/// segment closed by FinishSegment stays stored until the next Reset, so a
-/// later segment table (ResetSegments) can list it again with AddSegment
-/// instead of rebuilding it: the index's probe-set memo keeps one probe
-/// string's segments here across the length buckets it queries.  All
+/// (offset, length, prob), and each segment is a range of entries.  All
 /// buffers grow but never shrink, so a workspace-owned instance reaches a
 /// steady state after which repeated queries allocate nothing.
 class FlatProbeSets {
@@ -66,29 +61,11 @@ class FlatProbeSets {
     double prob;
   };
 
-  /// One segment: the entries [begin, end), or a wildcard (probe-set
-  /// construction blew up) that matches every indexed id with α = 1 and
-  /// has an empty range.
-  struct SegmentRange {
-    uint32_t begin;
-    uint32_t end;
-    bool wildcard;
-  };
-
-  /// Starts a fresh build for `num_segments` segments, dropping every
-  /// stored entry; keeps capacity.
+  /// Starts a fresh build for `num_segments` segments; keeps capacity.
   void Reset(int num_segments) {
     pool_.clear();
     entries_.clear();
-    ResetSegments(num_segments);
-  }
-
-  /// Starts a new table of `num_segments` segments over the stored
-  /// entries, which stay readable through the SegmentRanges that closed
-  /// them.
-  void ResetSegments(int num_segments) {
     segments_.clear();
-    open_begin_ = static_cast<uint32_t>(entries_.size());
     num_segments_ = num_segments;
   }
 
@@ -108,28 +85,21 @@ class FlatProbeSets {
   }
 
   /// Closes the current segment: the entries appended since the previous
-  /// segment was added, or none for a wildcard.  Together with AddSegment,
-  /// must be called exactly num_segments times after a reset.
+  /// segment was closed, or none for a wildcard (probe-set construction
+  /// blew up; it matches every indexed id with α = 1).  Must be called
+  /// exactly num_segments times after a Reset.
   void FinishSegment(bool wildcard) {
-    AddSegment(SegmentRange{open_begin_, static_cast<uint32_t>(entries_.size()),
-                            wildcard});
-  }
-
-  /// Adds a segment made of stored entries, such as one an earlier table
-  /// closed with FinishSegment.
-  void AddSegment(SegmentRange range) {
-    segments_.push_back(range);
-    open_begin_ = static_cast<uint32_t>(entries_.size());
+    const uint32_t begin = segments_.empty() ? 0 : segments_.back().end;
+    segments_.push_back(
+        SegmentRange{begin, static_cast<uint32_t>(entries_.size()), wildcard});
   }
 
   int num_segments() const { return num_segments_; }
-  /// The range of segment `x` of the current table (x < segments added).
-  const SegmentRange& segment(int x) const {
-    return segments_[static_cast<size_t>(x)];
+  bool is_wildcard(int x) const {
+    return segments_[static_cast<size_t>(x)].wildcard;
   }
-  bool is_wildcard(int x) const { return segment(x).wildcard; }
   std::span<const Entry> segment_entries(int x) const {
-    const SegmentRange& range = segment(x);
+    const SegmentRange& range = segments_[static_cast<size_t>(x)];
     return {entries_.data() + range.begin, entries_.data() + range.end};
   }
   std::string_view text(const Entry& e) const {
@@ -139,10 +109,16 @@ class FlatProbeSets {
   size_t pool_size() const { return pool_.size(); }
 
  private:
+  // One closed segment: the entries [begin, end).
+  struct SegmentRange {
+    uint32_t begin;
+    uint32_t end;
+    bool wildcard;
+  };
+
   std::string pool_;
   std::vector<Entry> entries_;
-  std::vector<SegmentRange> segments_;  // the current table, in order
-  uint32_t open_begin_ = 0;  // first entry of the segment under construction
+  std::vector<SegmentRange> segments_;  // closed segments, in order
   int num_segments_ = 0;
 };
 
@@ -190,9 +166,10 @@ Result<double> ExactOccurrenceProbability(const UncertainString& r,
 
 /// Builds the equivalent deterministic probe set q(r, x) for segment `seg`
 /// of an indexed string of length `s_len` (Sections 3.1–3.2): enumerates the
-/// instances of every admissible uncertain substring of R (position-aware
-/// selection window), merges duplicate instances across start positions, and
-/// assigns each distinct substring its union occurrence probability.
+/// instances of every admissible uncertain substring of R (the selection
+/// window of `options.selection`), merges duplicate instances across start
+/// positions, and assigns each distinct substring its union occurrence
+/// probability.
 ///
 /// Entries are sorted by substring text; probabilities lie in (0, 1].
 Result<std::vector<ProbeSubstring>> BuildProbeSet(

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "filter/event_dp.h"
-#include "filter/selection.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
 #include "text/possible_worlds.h"
@@ -45,19 +44,6 @@ uint64_t HeapPop(std::vector<uint64_t>* heap) {
   const uint64_t key = heap->back();
   heap->pop_back();
   return key;
-}
-
-// The memoized probe set of window `window` and instance length `length`,
-// or null when none was built yet.
-const QueryWorkspace::BuiltProbeSet* FindBuilt(
-    const std::vector<QueryWorkspace::BuiltProbeSet>& built,
-    const SelectionWindow& window, int length) {
-  for (const QueryWorkspace::BuiltProbeSet& set : built) {
-    if (set.lo == window.lo && set.hi == window.hi && set.length == length) {
-      return &set;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -553,35 +539,12 @@ std::span<const IndexCandidate> InvertedSegmentIndex::Query(
   // (the sequential scan would not have created it yet): skip the probe-set
   // construction entirely.
   if (bucket.ids().empty() || bucket.ids().front() >= id_limit) return {};
-  const int m = bucket.num_segments();
-  // The memo serves only the probe content and the settings it was built
-  // with.  Content, not address: callers reuse one string variable.
-  QueryWorkspace::ProbeSetMemo& memo = ws->probe_memo;
-  if (memo.k == k_ && memo.options == probe_options_ && memo.r == r) {
-    ws->probes.ResetSegments(m);
-  } else {
-    memo.r = r;
-    memo.k = k_;
-    memo.options = probe_options_;
-    memo.built.clear();
-    ws->probes.Reset(m);
-  }
-  for (int x = 0; x < m; ++x) {
-    const Segment& seg = bucket.segments()[static_cast<size_t>(x)];
-    const SelectionWindow window = SelectSubstringWindow(
-        r.length(), length, seg, k_, probe_options_.selection);
-    const QueryWorkspace::BuiltProbeSet* built =
-        FindBuilt(memo.built, window, seg.length);
-    if (built != nullptr) {
-      ws->probes.AddSegment(built->range);
-      continue;
-    }
+  ws->probes.Reset(bucket.num_segments());
+  for (const Segment& seg : bucket.segments()) {
     // A failed build (instance blow-up) closes the segment as a wildcard;
     // the error itself carries no extra information for the query path.
     (void)BuildProbeSetInto(r, length, seg, k_, probe_options_,
                             &ws->probe_scratch, &ws->probes);
-    memo.built.push_back(QueryWorkspace::BuiltProbeSet{
-        window.lo, window.hi, seg.length, ws->probes.segment(x)});
   }
   return bucket.QueryCandidates(ws->probes, k_, tau, ws, stats, id_limit);
 }

@@ -79,34 +79,10 @@ struct QueryWorkspace {
     double weight;
   };
 
-  /// A probe set the memo holds: the segment of selection window [lo, hi]
-  /// and instance length `length`, stored in `probes` at `range`.
-  struct BuiltProbeSet {
-    int lo;
-    int hi;
-    int length;
-    FlatProbeSets::SegmentRange range;
-  };
-  /// Probe-set memo of the current probe string.  A segment's probe set
-  /// q(r, x) depends only on R, its selection window, its length, k and
-  /// the ProbeSetOptions, not on the length bucket, and neighbouring
-  /// buckets share their leading segments: one probe string's bucket
-  /// queries build each distinct (window, length) once.  `probes` keeps
-  /// every segment built for `r`; InvertedSegmentIndex::Query lists them
-  /// in `built` and starts over when the string's content, k or an option
-  /// differs.
-  struct ProbeSetMemo {
-    UncertainString r;  // copy of the probe string the sets belong to
-    int k = -1;         // -1 until the first build
-    ProbeSetOptions options;
-    std::vector<BuiltProbeSet> built;
-  };
-
   // Buffers below are owned by the query path; callers should treat them as
   // opaque except `candidates` (the storage Query's return span points
   // into) and `candidate_ids` (free driver-level scratch).
-  FlatProbeSets probes;  // the current bucket's segments and the memo's
-  ProbeSetMemo probe_memo;
+  FlatProbeSets probes;  // the current bucket's probe sets
   ProbeSetScratch probe_scratch;
   std::vector<const char*> probe_ptrs;   // batched-fingerprint key pointers
   std::vector<uint64_t> probe_fps;       // batched fingerprints, per segment
@@ -258,10 +234,10 @@ class InvertedSegmentIndex {
   /// index's configured k and q).  Only ids < `id_limit` are considered
   /// (see LengthBucketIndex::QueryCandidates).  The returned span points
   /// into `workspace->candidates`; with a warmed-up workspace the call
-  /// performs no heap allocation.  Probe sets built for `r` are memoized in
-  /// the workspace (QueryWorkspace::ProbeSetMemo), so probing several
-  /// buckets with one string in a row builds each distinct segment once;
-  /// the memo is matched on content and settings, never on address.
+  /// performs no heap allocation.  Every call builds the bucket's m probe
+  /// sets afresh: under the shift-bounded window a segment's probe set
+  /// depends on |r| - length, so neighbouring buckets rarely share one
+  /// (DESIGN.md "Probe-set reuse").
   std::span<const IndexCandidate> Query(const UncertainString& r, int length,
                                         double tau,
                                         QueryWorkspace* workspace,

@@ -115,9 +115,10 @@ struct JoinOptions {
 
   /// Wave size of the parallel self-join: the length-sorted scan is cut
   /// into waves of this many strings; a wave is inserted into the inverted
-  /// index sequentially, then all of its strings probe the frozen index
-  /// concurrently (each probe only sees ids smaller than its own, so every
-  /// unordered pair is examined exactly once, on its higher-id side).
+  /// index sequentially, then all of its strings probe the index, which
+  /// stays unchanged until the next wave, concurrently (each probe only
+  /// sees ids smaller than its own, so every unordered pair is examined
+  /// exactly once, on its higher-id side).
   /// Larger waves expose more parallelism; smaller waves keep the probe
   /// window closer to the paper's insert-after-every-string scan.  The
   /// result set is identical for every wave size.  <= 0 picks an adaptive

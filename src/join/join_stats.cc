@@ -12,8 +12,6 @@ namespace ujoin {
 void JoinStats::Merge(const JoinStats& other) {
   length_compatible_pairs += other.length_compatible_pairs;
   qgram_candidates += other.qgram_candidates;
-  qgram_support_pruned += other.qgram_support_pruned;
-  qgram_probability_pruned += other.qgram_probability_pruned;
   freq_candidates += other.freq_candidates;
   freq_lower_pruned += other.freq_lower_pruned;
   freq_upper_pruned += other.freq_upper_pruned;
@@ -94,8 +92,8 @@ std::string JoinStats::ToString() const {
       "index: peak-memory=%zu bytes",
       static_cast<long long>(length_compatible_pairs),
       static_cast<long long>(qgram_candidates),
-      static_cast<long long>(qgram_support_pruned),
-      static_cast<long long>(qgram_probability_pruned),
+      static_cast<long long>(index_stats.support_pruned),
+      static_cast<long long>(index_stats.probability_pruned),
       static_cast<long long>(freq_candidates),
       static_cast<long long>(freq_lower_pruned),
       static_cast<long long>(freq_upper_pruned),
@@ -123,10 +121,6 @@ std::string JoinStats::ToJson() const {
   w.Int(length_compatible_pairs);
   w.Key("qgram_candidates");
   w.Int(qgram_candidates);
-  w.Key("qgram_support_pruned");
-  w.Int(qgram_support_pruned);
-  w.Key("qgram_probability_pruned");
-  w.Int(qgram_probability_pruned);
   w.Key("freq_candidates");
   w.Int(freq_candidates);
   w.Key("freq_lower_pruned");

@@ -25,9 +25,9 @@ struct JoinStats {
   /// Pairs within the length window |ΔL| <= k (the filter pipeline input).
   int64_t length_compatible_pairs = 0;
   /// Pairs surviving the q-gram stage (equals the input when disabled).
+  /// The stage's prunes are counted in `index_stats` (support_pruned by
+  /// Lemma 5's count condition, probability_pruned by Theorem 2's bound).
   int64_t qgram_candidates = 0;
-  int64_t qgram_support_pruned = 0;      ///< by Lemma 5's count condition
-  int64_t qgram_probability_pruned = 0;  ///< by Theorem 2's bound
   /// Pairs surviving the frequency-distance stage.
   int64_t freq_candidates = 0;
   int64_t freq_lower_pruned = 0;  ///< by Lemma 6 (fd lower bound > k)
@@ -109,8 +109,9 @@ struct JoinStats {
   std::string ToJson() const;
 };
 
-/// Version of the JSON object emitted by JoinStats::ToJson.
-inline constexpr int kJoinStatsSchemaVersion = 1;
+/// Version of the JSON object emitted by JoinStats::ToJson.  Version 2 has
+/// no `pairs.qgram_*_pruned` keys: the q-gram prunes are under `index`.
+inline constexpr int kJoinStatsSchemaVersion = 2;
 
 /// The query-log record of one answered query, built from that query's own
 /// stats: funnel, candidates, verify worlds, fallbacks, verdict and timing

@@ -119,7 +119,8 @@ struct ProbeOutcome {
 
 // Wave-parallel driver.  The length-sorted scan is cut into waves; each wave
 // is first inserted into the inverted index sequentially, then every string
-// of the wave probes the now-frozen index concurrently.  A probe at position
+// of the wave probes the index concurrently while it stays unchanged (it is
+// never frozen; probes read the delta lists).  A probe at position
 // i passes id_limit = i to the index so it only sees strings of smaller
 // position — exactly the prefix the paper's insert-after-every-string scan
 // would have indexed — which keeps results, filter decisions, and pair-flow
@@ -222,7 +223,7 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       }
     }
 
-    // ---- phase 3 (parallel): probe the frozen index ----------------------
+    // ---- phase 3 (parallel): probe the unchanging index ------------------
     const int64_t probe_phase_start = trace != nullptr ? trace->NowNs() : 0;
     RunWaveTasks(threads, wave_count, [&](int worker, uint32_t rank) {
       QueryWorkspace& workspace = workspaces[static_cast<size_t>(worker)];

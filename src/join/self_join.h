@@ -53,7 +53,7 @@ struct SelfJoinResult {
 /// The scan is wave-parallel: the length-sorted order is cut into waves of
 /// JoinOptions::wave_size strings; a wave is inserted into the index
 /// sequentially, then all of its strings run the probe pipeline concurrently
-/// on JoinOptions::threads workers against the frozen index, each seeing
+/// on JoinOptions::threads workers against the unchanging index, each seeing
 /// only strings of smaller visiting position.  Results, filter decisions,
 /// and pair-flow counters are identical to the paper's sequential scan for
 /// every wave size and thread count (per-worker buffers are merged in

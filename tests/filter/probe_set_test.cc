@@ -29,6 +29,7 @@ TEST(ProbeSetTest, DeterministicProbeSetListsWindowSubstrings) {
   const UncertainString r = UncertainString::FromDeterministic("GGATCC");
   const std::vector<Segment> segments = EvenPartition(6, 3);
   ProbeSetOptions opt;
+  opt.selection = SelectionPolicy::kPositional;
 
   auto set1 = BuildProbeSet(r, 6, segments[0], 1, opt);
   ASSERT_TRUE(set1.ok());
@@ -45,16 +46,17 @@ TEST(ProbeSetTest, DeterministicProbeSetListsWindowSubstrings) {
 }
 
 TEST(ProbeSetTest, Section32OverlapGroupingExample) {
-  // R = A{(A,0.8),(C,0.2)}AATT, q = 3, k = 1, segment S^1 at position 0:
-  // the naive sum double-counts AAA (1.32); the grouped set is
-  // {(AAA, 0.8), (ACA, 0.2), (CAA, 0.2)}.
+  // R = A{(A,0.8),(C,0.2)}AATT, q = 3, k = 1, segment S^1 at position 0,
+  // positional window (starts 0 and 1): the naive sum double-counts AAA
+  // (1.32); the grouped set is {(AAA, 0.8), (ACA, 0.2), (CAA, 0.2)}.
   Alphabet dna = Alphabet::Dna();
   Result<UncertainString> r =
       UncertainString::Parse("A{(A,0.8),(C,0.2)}AATT", dna);
   ASSERT_TRUE(r.ok());
   const Segment seg{0, 3};
-  Result<std::vector<ProbeSubstring>> set =
-      BuildProbeSet(*r, 6, seg, 1, ProbeSetOptions{});
+  ProbeSetOptions opt;
+  opt.selection = SelectionPolicy::kPositional;
+  Result<std::vector<ProbeSubstring>> set = BuildProbeSet(*r, 6, seg, 1, opt);
   ASSERT_TRUE(set.ok());
   const std::map<std::string, double> got = ToMap(*set);
   ASSERT_EQ(got.size(), 3u);
@@ -181,14 +183,14 @@ TEST(ProbeSetTest, ProbabilitiesArePositiveAndSortedUnique) {
   }
 }
 
-// The probe set of `seg` built the plain way: instances grouped in a
-// std::map keyed by std::string, whose byte order (unsigned char) the
-// builder's 8-byte prefix comparison must reproduce.
+// The probe set of `seg` built the plain way under `policy`: instances
+// grouped in a std::map keyed by std::string, whose byte order (unsigned
+// char) the builder's 8-byte prefix comparison must reproduce.
 std::vector<ProbeSubstring> ReferenceProbeSet(const UncertainString& r,
                                               int s_len, const Segment& seg,
-                                              int k) {
+                                              int k, SelectionPolicy policy) {
   const SelectionWindow window =
-      SelectSubstringWindow(r.length(), s_len, seg, k);
+      SelectSubstringWindow(r.length(), s_len, seg, k, policy);
   std::map<std::string, std::vector<ProbeOccurrence>> groups;
   for (int start = window.lo; start <= window.hi; ++start) {
     ForEachWorld(r.Substring(start, seg.length),
@@ -250,11 +252,12 @@ TEST(ProbeSetTest, PrefixGroupingMatchesStringOrder) {
         static_cast<int>(rng.Uniform(
             static_cast<uint64_t>(length - seg_length + 1))),
         seg_length};
+    const ProbeSetOptions options;
     Result<std::vector<ProbeSubstring>> got =
-        BuildProbeSet(*r, length, seg, k, ProbeSetOptions{});
+        BuildProbeSet(*r, length, seg, k, options);
     ASSERT_TRUE(got.ok());
     const std::vector<ProbeSubstring> want =
-        ReferenceProbeSet(*r, length, seg, k);
+        ReferenceProbeSet(*r, length, seg, k, options.selection);
     ExpectSameProbeSet(*got, want, "trial " + std::to_string(trial));
     for (size_t i = 1; i < got->size(); ++i) {
       if ((*got)[i - 1].text.compare(0, 8, (*got)[i].text, 0, 8) == 0) {

@@ -46,7 +46,9 @@ TEST_F(Table1Test, S1HasNoMatchingSegments) {
 
 TEST_F(Table1Test, S2HasOneMatchedSegmentAndIsRejected) {
   // S2's second segment instance GG occurs in r, but only outside the
-  // position-aware window, so only the third segment matches.
+  // position-aware window, so only the third segment matches.  The paper
+  // works the example with the positional (±k) window.
+  options_.probe.selection = SelectionPolicy::kPositional;
   Result<QGramFilterOutcome> out = EvaluateQGramFilter(r_, s2_, options_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->matched_segments, 1);
@@ -58,6 +60,8 @@ TEST_F(Table1Test, S2HasOneMatchedSegmentAndIsRejected) {
 }
 
 TEST_F(Table1Test, S3AlphasMatchPaperAndBoundRejects) {
+  // The paper's α values come from the positional (±k) window.
+  options_.probe.selection = SelectionPolicy::kPositional;
   Result<QGramFilterOutcome> out = EvaluateQGramFilter(r_, s3_, options_);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->matched_segments, 2);

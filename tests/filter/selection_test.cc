@@ -15,23 +15,27 @@ namespace {
 
 TEST(SelectionWindowTest, EmptyWhenLengthGapExceedsK) {
   const Segment seg{2, 3};
-  EXPECT_TRUE(SelectSubstringWindow(10, 20, seg, 4).empty());
-  EXPECT_TRUE(SelectSubstringWindow(20, 10, seg, 4).empty());
+  for (const SelectionPolicy policy :
+       {SelectionPolicy::kPositional, SelectionPolicy::kShiftBounded}) {
+    EXPECT_TRUE(SelectSubstringWindow(10, 20, seg, 4, policy).empty());
+    EXPECT_TRUE(SelectSubstringWindow(20, 10, seg, 4, policy).empty());
+  }
 }
 
 TEST(SelectionWindowTest, PositionalWindowMatchesTable1) {
   // Table 1: r = GGATCC (len 6), s len 6, q = 2, k = 1, m = 3.
   const std::vector<Segment> segments = EvenPartition(6, 3);
+  const SelectionPolicy positional = SelectionPolicy::kPositional;
   // Segment 1 at 0-based start 0: starts {0, 1} (clipped at 0).
-  SelectionWindow w1 = SelectSubstringWindow(6, 6, segments[0], 1);
+  SelectionWindow w1 = SelectSubstringWindow(6, 6, segments[0], 1, positional);
   EXPECT_EQ(w1.lo, 0);
   EXPECT_EQ(w1.hi, 1);
   // Segment 2 at start 2: starts {1, 2, 3}.
-  SelectionWindow w2 = SelectSubstringWindow(6, 6, segments[1], 1);
+  SelectionWindow w2 = SelectSubstringWindow(6, 6, segments[1], 1, positional);
   EXPECT_EQ(w2.lo, 1);
   EXPECT_EQ(w2.hi, 3);
   // Segment 3 at start 4: starts {3, 4} (clipped at |r| - q = 4).
-  SelectionWindow w3 = SelectSubstringWindow(6, 6, segments[2], 1);
+  SelectionWindow w3 = SelectSubstringWindow(6, 6, segments[2], 1, positional);
   EXPECT_EQ(w3.lo, 3);
   EXPECT_EQ(w3.hi, 4);
 }

@@ -192,15 +192,15 @@ std::vector<IndexCandidate> ProbeAllBucketsLikeFresh(
     QueryWorkspace* workspace, const char* what) {
   std::vector<IndexCandidate> all;
   for (int l = r.length() - index.k(); l <= r.length() + index.k(); ++l) {
-    IndexQueryStats memo_stats;
-    const std::vector<IndexCandidate> with_memo =
-        Copy(index.Query(r, l, tau, workspace, &memo_stats));
+    IndexQueryStats reused_stats;
+    const std::vector<IndexCandidate> with_reuse =
+        Copy(index.Query(r, l, tau, workspace, &reused_stats));
     QueryWorkspace fresh;
     IndexQueryStats fresh_stats;
     const std::vector<IndexCandidate> with_fresh =
         Copy(index.Query(r, l, tau, &fresh, &fresh_stats));
-    ExpectSameCandidates(with_memo, with_fresh, what);
-    ExpectSameStats(memo_stats, fresh_stats, what);
+    ExpectSameCandidates(with_reuse, with_fresh, what);
+    ExpectSameStats(reused_stats, fresh_stats, what);
     all.insert(all.end(), with_fresh.begin(), with_fresh.end());
   }
   return all;
@@ -218,9 +218,10 @@ bool SameCandidates(const std::vector<IndexCandidate>& a,
   return true;
 }
 
-// The probe-set memo belongs to the probe string's content, not to its
+// A reused workspace answers for the probe string's content, not its
 // address: reassigning one variable to a string of the same length that
-// differs in one symbol or in one probability must not reuse the old sets.
+// differs in one symbol or in one probability must answer like a fresh
+// workspace, with no probe set left over from the previous content.
 TEST(FrozenIndexTest, ProbeSetMemoFollowsContentNotAddress) {
   const std::string text = "ACGTTGCAACGTAC";
   std::string edited = text;
@@ -259,16 +260,17 @@ TEST(FrozenIndexTest, ProbeSetMemoFollowsContentNotAddress) {
     answers.push_back(
         ProbeAllBucketsLikeFresh(index, r, /*tau=*/0.05, &reused, "variant"));
   }
-  // The variants must answer differently, or a stale memo would go unseen.
+  // The variants must answer differently, or stale probe sets would go
+  // unseen.
   EXPECT_FALSE(SameCandidates(answers[0], answers[1]));
   EXPECT_FALSE(SameCandidates(answers[0], answers[2]));
   EXPECT_TRUE(SameCandidates(answers[0], answers[3]));
 }
 
-// The memo also belongs to the index's settings: one workspace alternating
-// between two indexes over the same strings must answer as a fresh one,
-// whether the indexes differ in k, in the instance cap (one side closes a
-// segment as a wildcard) or in the union-probability mode.
+// A reused workspace also answers for the index's settings: one workspace
+// alternating between two indexes over the same strings must answer as a
+// fresh one, whether the indexes differ in k, in the instance cap (one side
+// closes a segment as a wildcard) or in the union-probability mode.
 TEST(FrozenIndexTest, ProbeSetMemoFollowsIndexSettings) {
   ProbeSetOptions capped;
   capped.max_instances_per_window = 2;
@@ -417,9 +419,8 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
       << "steady-state Query must not allocate; got " << allocations
       << " allocations";
 
-  // Same property when every query rebuilds the probe-set memo: two probe
-  // strings alternate through the workspace, whose memo copies each in
-  // turn into storage the first round grew.
+  // Same property when two probe strings alternate through the workspace:
+  // each query rebuilds its probe sets into storage the first round grew.
   const UncertainString other = testing::RandomUncertainString(dna, opt, rng);
   const size_t other_size =
       index.Query(other, length, 0.01, &workspace, &stats).size();
@@ -437,7 +438,7 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
   }
   EXPECT_EQ(alternating_sizes, warm_size + other_size);
   EXPECT_EQ(allocations, 0u)
-      << "rebuilding the probe-set memo must not allocate once warm";
+      << "alternating probe strings must not allocate once warm";
 
   // Same property with the heap merges forced on.
   workspace.heap_merge_threshold = 0;

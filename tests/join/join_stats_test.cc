@@ -1,6 +1,7 @@
 #include "join/join_stats.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +18,6 @@ JoinStats RandomStats(Rng& rng) {
   JoinStats s;
   s.length_compatible_pairs = static_cast<int64_t>(rng.Uniform(1000));
   s.qgram_candidates = static_cast<int64_t>(rng.Uniform(1000));
-  s.qgram_support_pruned = static_cast<int64_t>(rng.Uniform(1000));
-  s.qgram_probability_pruned = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_candidates = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_lower_pruned = static_cast<int64_t>(rng.Uniform(1000));
   s.freq_upper_pruned = static_cast<int64_t>(rng.Uniform(1000));
@@ -105,9 +104,10 @@ TEST(JoinStatsMergeTest, MergingIntoDefaultIsIdentity) {
   merged.Merge(original);
   EXPECT_EQ(merged.length_compatible_pairs, original.length_compatible_pairs);
   EXPECT_EQ(merged.qgram_candidates, original.qgram_candidates);
-  EXPECT_EQ(merged.qgram_support_pruned, original.qgram_support_pruned);
-  EXPECT_EQ(merged.qgram_probability_pruned,
-            original.qgram_probability_pruned);
+  EXPECT_EQ(merged.index_stats.support_pruned,
+            original.index_stats.support_pruned);
+  EXPECT_EQ(merged.index_stats.probability_pruned,
+            original.index_stats.probability_pruned);
   EXPECT_EQ(merged.freq_candidates, original.freq_candidates);
   EXPECT_EQ(merged.freq_lower_pruned, original.freq_lower_pruned);
   EXPECT_EQ(merged.freq_upper_pruned, original.freq_upper_pruned);
@@ -234,6 +234,28 @@ TEST(JoinStatsTest, ToStringReportsIndexBuildOnItsOwnLine) {
   EXPECT_NE(text.find("index-build[s]: 0.1250"), std::string::npos) << text;
   // The per-stage time line no longer folds the build time in.
   EXPECT_EQ(text.find("index=0.1250"), std::string::npos) << text;
+}
+
+// The pair-flow line reports the q-gram stage's real prune counts, which
+// the index probe records, on a join where Lemma 5 prunes something.
+TEST(JoinStatsTest, ToStringReportsIndexPruneCounts) {
+  DatasetOptions data;
+  data.kind = DatasetOptions::Kind::kNames;
+  data.size = 200;
+  data.seed = 23;
+  data.max_uncertain_positions = 4;
+  const Dataset dataset = GenerateDataset(data);
+  Result<SelfJoinResult> result = SimilaritySelfJoin(
+      dataset.strings, dataset.alphabet, JoinOptions::Qfct(2, 0.1));
+  ASSERT_TRUE(result.ok());
+  const JoinStats& s = result->stats;
+  EXPECT_GT(s.index_stats.support_pruned, 0);
+  const std::string text = s.ToString();
+  const std::string printed =
+      "(support-pruned=" + std::to_string(s.index_stats.support_pruned) +
+      ", prob-pruned=" + std::to_string(s.index_stats.probability_pruned) +
+      ")";
+  EXPECT_NE(text.find(printed), std::string::npos) << text;
 }
 
 // ToJson must be deterministic: the same field values always serialize to

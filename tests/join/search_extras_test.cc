@@ -137,10 +137,10 @@ TEST(SearchManyTest, AggregatedStatsAreThreadCountInvariant) {
             parallel_stats.length_compatible_pairs);
   EXPECT_EQ(sequential_stats.qgram_candidates,
             parallel_stats.qgram_candidates);
-  EXPECT_EQ(sequential_stats.qgram_support_pruned,
-            parallel_stats.qgram_support_pruned);
-  EXPECT_EQ(sequential_stats.qgram_probability_pruned,
-            parallel_stats.qgram_probability_pruned);
+  EXPECT_EQ(sequential_stats.index_stats.support_pruned,
+            parallel_stats.index_stats.support_pruned);
+  EXPECT_EQ(sequential_stats.index_stats.probability_pruned,
+            parallel_stats.index_stats.probability_pruned);
   EXPECT_EQ(sequential_stats.freq_candidates, parallel_stats.freq_candidates);
   EXPECT_EQ(sequential_stats.cdf_accepted, parallel_stats.cdf_accepted);
   EXPECT_EQ(sequential_stats.cdf_rejected, parallel_stats.cdf_rejected);

@@ -89,6 +89,64 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+// Recall of the default (shift-bounded) selection window at dataset scale:
+// names of length 10-35 with up to six uncertain positions and a small
+// protein set, where the window is much tighter than the positional ±k one
+// (JoinVariantTest's strings of length 4-10 leave the two nearly equal).
+// For k = 1..3 and τ ∈ {0.05, 0.3}, the default join's pair set must equal
+// the exhaustive oracle's and a positional-window join's.
+TEST(SelfJoinTest, DefaultWindowFindsEveryOraclePairAtDatasetScale) {
+  struct Collection {
+    const char* name;
+    DatasetOptions::Kind kind;
+    int size;
+    int max_uncertain_positions;
+  };
+  const Collection collections[] = {
+      {"names", DatasetOptions::Kind::kNames, 300, 6},
+      {"protein", DatasetOptions::Kind::kProtein, 120, 5},
+  };
+  size_t oracle_pairs = 0;
+  for (const Collection& c : collections) {
+    DatasetOptions data;
+    data.kind = c.kind;
+    data.size = c.size;
+    data.seed = 61;
+    data.max_uncertain_positions = c.max_uncertain_positions;
+    const Dataset dataset = GenerateDataset(data);
+    for (int k = 1; k <= 3; ++k) {
+      // One oracle run per k: it computes every pair's exact probability,
+      // so each τ's ground truth is the pairs above τ.
+      Result<SelfJoinResult> oracle = ExhaustiveSelfJoin(
+          dataset.strings, dataset.alphabet, JoinOptions::Qfct(k, 0.0));
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (const double tau : {0.05, 0.3}) {
+        std::set<std::pair<uint32_t, uint32_t>> truth;
+        for (const JoinPair& p : oracle->pairs) {
+          if (p.probability > tau) truth.insert({p.lhs, p.rhs});
+        }
+        oracle_pairs += truth.size();
+        const JoinOptions tight = JoinOptions::Qfct(k, tau);
+        ASSERT_EQ(tight.probe.selection, SelectionPolicy::kShiftBounded);
+        JoinOptions positional = tight;
+        positional.probe.selection = SelectionPolicy::kPositional;
+        for (const JoinOptions& options : {tight, positional}) {
+          Result<SelfJoinResult> got =
+              SimilaritySelfJoin(dataset.strings, dataset.alphabet, options);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(PairSet(*got), truth)
+              << c.name << " k=" << k << " tau=" << tau << " window="
+              << (options.probe.selection == SelectionPolicy::kPositional
+                      ? "positional"
+                      : "shift-bounded");
+        }
+      }
+    }
+  }
+  // The check shows nothing unless the oracle finds pairs to miss.
+  EXPECT_GT(oracle_pairs, 1000u);
+}
+
 TEST(SelfJoinTest, CdfAcceptedPairsCarryCertifiedLowerBounds) {
   const Alphabet alphabet = Alphabet::Names();
   const std::vector<UncertainString> collection = SmallDataset(60, 0.2, 7);

@@ -86,9 +86,10 @@ void ExpectSameCounts(const JoinStats& server, const JoinStats& in_process) {
   EXPECT_EQ(server.length_compatible_pairs,
             in_process.length_compatible_pairs);
   EXPECT_EQ(server.qgram_candidates, in_process.qgram_candidates);
-  EXPECT_EQ(server.qgram_support_pruned, in_process.qgram_support_pruned);
-  EXPECT_EQ(server.qgram_probability_pruned,
-            in_process.qgram_probability_pruned);
+  EXPECT_EQ(server.index_stats.support_pruned,
+            in_process.index_stats.support_pruned);
+  EXPECT_EQ(server.index_stats.probability_pruned,
+            in_process.index_stats.probability_pruned);
   EXPECT_EQ(server.freq_candidates, in_process.freq_candidates);
   EXPECT_EQ(server.freq_lower_pruned, in_process.freq_lower_pruned);
   EXPECT_EQ(server.freq_upper_pruned, in_process.freq_upper_pruned);

@@ -74,9 +74,12 @@ TEST_F(ServeIdleTest, SilentConnectionIsClosedAndCounted) {
   EXPECT_EQ(IdleClosed(server), 0);
 
   // Now go silent: the server closes its side once idle_timeout_ms of
-  // empty poll ticks accumulate.
+  // empty poll ticks accumulate.  The counters read 0 when recording is
+  // compiled out (-DUJOIN_OBS=OFF); the close itself is checked either way.
   EXPECT_TRUE(client.AtEof());
+#ifndef UJOIN_OBS_DISABLED
   EXPECT_EQ(IdleClosed(server), 1);
+#endif
 
   // The reap is per-connection, not per-server: a fresh connection is
   // admitted and served as usual.
@@ -90,10 +93,12 @@ TEST_F(ServeIdleTest, SilentConnectionIsClosedAndCounted) {
   next.Close();
   client.Close();
   server.Stop();
+#ifndef UJOIN_OBS_DISABLED
   // The idle-closed connection still flushed its final batch: both its
   // requests are in the fold.
   EXPECT_EQ(server.ServeMetrics().counter(obs::Counter::kServeRequests), 3);
   EXPECT_EQ(IdleClosed(server), 1);
+#endif
 }
 
 TEST_F(ServeIdleTest, ZeroTimeoutKeepsSilentConnectionsOpen) {

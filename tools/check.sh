@@ -3,9 +3,11 @@
 # invariant lint, warning-hardened Release build + tier-1 tests, clang-tidy
 # (skipped with a notice when not installed), the concurrency-sensitive join
 # tests under ThreadSanitizer, the full suite under UndefinedBehaviorSanitizer,
-# the index-probe micro-bench gates (speedup + zero allocations), an
-# observability smoke: a CLI join with metrics + tracing whose JSON outputs
-# are schema-validated, plus the allocation gate with recording on, and a
+# the full suite with the observability instrumentation compiled out
+# (-DUJOIN_OBS=OFF, CI's obs-off job), the index-probe micro-bench gates
+# (speedup + zero allocations), an observability smoke: a CLI join with
+# metrics + tracing whose JSON outputs are schema-validated, plus the
+# allocation gate with recording on, and a
 # live-monitoring smoke (tools/live_smoke.sh): HTTP scrape of /metrics and
 # /healthz from a held join, exposition-format validation, and the
 # --trace-sample=N probe-span reduction check, plus a resident-service
@@ -34,7 +36,7 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTION
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 
-echo "==> [1/13] invariant lint + effect analysis (self-tests + repo scans)"
+echo "==> [1/14] invariant lint + effect analysis (self-tests + repo scans)"
 python3 tools/ujoin_lint.py --self-test
 python3 tools/ujoin_lint.py
 python3 tools/ujoin_effects.py --self-test
@@ -42,11 +44,11 @@ python3 tools/ujoin_effects.py --require-roots
 python3 tools/validate_query_log.py --self-test
 python3 tools/validate_flight_record.py --self-test
 
-echo "==> [2/13] configure + build (Release, warnings as errors)"
+echo "==> [2/14] configure + build (Release, warnings as errors)"
 cmake -B build -S . -DUJOIN_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 
-echo "==> [3/13] clang-tidy (profile: .clang-tidy)"
+echo "==> [3/14] clang-tidy (profile: .clang-tidy)"
 if command -v clang-tidy >/dev/null 2>&1; then
   # The build dir holds compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS).
   find src tools bench -name '*.cc' -print0 |
@@ -55,10 +57,10 @@ else
   echo "clang-tidy not installed: skipping (CI runs this step)"
 fi
 
-echo "==> [4/13] tier-1 test suite"
+echo "==> [4/14] tier-1 test suite"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> [5/13] configure + build (ThreadSanitizer)"
+echo "==> [5/14] configure + build (ThreadSanitizer)"
 cmake -B build-tsan -S . -DUJOIN_SANITIZE=thread \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
@@ -68,24 +70,29 @@ TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
   serve_idle_test)
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
 
-echo "==> [6/13] parallel join tests under TSan"
+echo "==> [6/14] parallel join tests under TSan"
 for t in "${TSAN_TARGETS[@]}"; do
   echo "--- $t"
   "./build-tsan/tests/$t"
 done
 
-echo "==> [7/13] full suite under UBSan"
+echo "==> [7/14] full suite under UBSan"
 cmake -B build-ubsan -S . -DUJOIN_SANITIZE=undefined \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -LE lint
 
-echo "==> [8/13] index probe micro-bench (speedup + zero-allocation gates)"
+echo "==> [8/14] full suite with observability compiled out (UJOIN_OBS=OFF)"
+cmake -B build-obs-off -S . -DUJOIN_OBS=OFF -DUJOIN_WERROR=ON >/dev/null
+cmake --build build-obs-off -j "$JOBS"
+ctest --test-dir build-obs-off --output-on-failure -j "$JOBS"
+
+echo "==> [9/14] index probe micro-bench (speedup + zero-allocation gates)"
 # Tiny scale: this is a smoke run of the gates, not a timing measurement.
 UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   ./build/bench/bench_index_probe build/BENCH_probe.json
 
-echo "==> [9/13] CLI observability smoke (run report + trace schemas)"
+echo "==> [10/14] CLI observability smoke (run report + trace schemas)"
 OBS_DIR="build/obs-smoke"
 mkdir -p "$OBS_DIR"
 ./build/tools/ujoin_cli generate --kind=names --size=200 --seed=11 \
@@ -130,7 +137,7 @@ assert all({"ts", "dur", "tid"} <= e.keys()
 print("run report and trace are schema-valid")
 PYEOF
 
-echo "==> [10/13] zero-allocation and overhead gates with recording on"
+echo "==> [11/14] zero-allocation and overhead gates with recording on"
 ./build/tests/frozen_index_test \
   --gtest_filter='FrozenIndexTest.SteadyStateQueryDoesNotAllocate'
 # Smoke gate only: at this tiny scale a 1-CPU box needs a wide margin and
@@ -141,13 +148,13 @@ UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   UJOIN_OBS_OVERHEAD_REPS="${UJOIN_OBS_OVERHEAD_REPS:-15}" \
   ./build/bench/bench_obs_overhead build/BENCH_obs.json
 
-echo "==> [11/13] live monitoring smoke (scrape endpoint + trace sampling)"
+echo "==> [12/14] live monitoring smoke (scrape endpoint + trace sampling)"
 bash tools/live_smoke.sh build
 
-echo "==> [12/13] resident service smoke (socket batch + scrape + SIGINT)"
+echo "==> [13/14] resident service smoke (socket batch + scrape + SIGINT)"
 bash tools/serve_smoke.sh build
 
-echo "==> [13/13] benchmark harness smoke (build + one traced join_names run)"
+echo "==> [14/14] benchmark harness smoke (build + one traced join_names run)"
 # The traced replay calls InvertedSegmentIndex::Query, QueryWorkspace and
 # internal::PairVerifier::Decide directly, so the harness must keep building.
 CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
