@@ -25,8 +25,7 @@ int main() {
   data_opt.max_uncertain_positions = 5;
   const Dataset data = GenerateDataset(data_opt);
 
-  JoinOptions options = JoinOptions::Qfct(/*k=*/2, /*tau=*/0.1);
-  options.early_stop_verification = true;
+  const JoinOptions options = JoinOptions::Qfct(/*k=*/2, /*tau=*/0.1);
 
   // Build and persist.
   Timer build_timer;

@@ -41,10 +41,7 @@ Result<ExplainResult> SimilaritySearcher::Explain(
   return result;
 }
 
-namespace {
-
-void AppendOptions(const JoinOptions& options, obs::JsonWriter* w) {
-  w->BeginObject();
+void AppendJoinOptionsFields(const JoinOptions& options, obs::JsonWriter* w) {
   w->Key("k");
   w->Int(options.k);
   w->Key("tau");
@@ -61,16 +58,9 @@ void AppendOptions(const JoinOptions& options, obs::JsonWriter* w) {
   w->Bool(options.qgram_probabilistic_pruning);
   w->Key("always_verify");
   w->Bool(options.always_verify);
-  w->Key("early_stop_verification");
-  w->Bool(options.early_stop_verification);
-  w->Key("verify_method");
-  w->String(options.verify_method == VerifyMethod::kTrie
-                ? "trie"
-                : options.verify_method == VerifyMethod::kCompressedTrie
-                      ? "compressed_trie"
-                      : "naive");
-  w->EndObject();
 }
+
+namespace {
 
 void AppendProbe(const ExplainProbe& probe, obs::JsonWriter* w) {
   w->BeginObject();
@@ -166,7 +156,9 @@ std::string RenderExplainJson(const SimilaritySearcher& searcher,
   w.Int(query.WorldCount());
   w.EndObject();
   w.Key("options");
-  AppendOptions(searcher.options(), &w);
+  w.BeginObject();
+  AppendJoinOptionsFields(searcher.options(), &w);
+  w.EndObject();
   w.Key("limits");
   w.BeginObject();
   w.Key("max_verify_worlds");

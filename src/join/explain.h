@@ -26,8 +26,18 @@ namespace ujoin {
 // searchers (nothing needs to be attached at Create time).
 // ---------------------------------------------------------------------------
 
-/// Version of the "ujoin.explain" JSON envelope schema.
-inline constexpr int kExplainSchemaVersion = 1;
+namespace obs {
+class JsonWriter;
+}  // namespace obs
+
+/// Version of the "ujoin.explain" JSON envelope schema.  Version 2 dropped
+/// two verification-setting keys from "options".
+inline constexpr int kExplainSchemaVersion = 2;
+
+/// Writes the persisted (k, τ) and filter options as keys of the JSON
+/// object `w` has open: the explain envelope's "options" object and the
+/// start of the run report's, in one fixed key order.
+void AppendJoinOptionsFields(const JoinOptions& options, obs::JsonWriter* w);
 
 /// \brief Probe work for one length bucket [|query|-k, |query|+k].
 struct ExplainProbe {
@@ -52,7 +62,8 @@ enum class ExplainStage {
   kCdfAccepted,       ///< CDF lower bound > tau, verification skipped
   kBudgetFallback,    ///< world budget or verify caps exceeded; CDF bound
   kDeadlineFallback,  ///< deadline exceeded, decided from CDF bound
-  kVerified,          ///< exact (or early-stopped) trie verification
+  kVerified,          ///< trie verification: (k, τ) verdict, or exact
+                      ///< probability under always_verify
 };
 
 /// Stable lowercase name, part of the ujoin.explain schema.

@@ -54,14 +54,6 @@ struct SearchLimits {
   }
 };
 
-/// \brief Exact-verification algorithm used on surviving candidates.
-enum class VerifyMethod {
-  kTrie,  ///< trie-based verification (Section 6.2) — the paper's method
-  kCompressedTrie,  ///< path-compressed trie: same results, node budget
-                    ///< independent of string length (library extension)
-  kNaive,  ///< all-world-pairs enumeration with prefix pruning (baseline)
-};
-
 /// \brief Parameters of a (k, τ) similarity join or search.
 ///
 /// The filter toggles reproduce the paper's algorithm variants
@@ -84,19 +76,15 @@ struct JoinOptions {
   /// approximation (see DESIGN.md).
   bool qgram_probabilistic_pruning = true;
 
-  /// Verify pairs that the CDF lower bound already accepted, so that every
-  /// reported probability is exact (costs extra verification work).
+  /// The one switch for exact probabilities.  By default a pair is decided
+  /// by its (k, τ) verdict: the CDF lower bound accepts it without
+  /// verification, and trie verification stops once the verdict is certain
+  /// (TrieVerifier::DecideSimilar), so a reported probability may be a
+  /// certified lower bound (> τ) flagged inexact.  When set, every surviving
+  /// pair is verified to its exact probability, CDF-accepted ones included.
+  /// The pair set is the same either way.
   bool always_verify = false;
 
-  /// Stop trie-based verification as soon as the (k, τ) verdict is certain
-  /// instead of computing the exact probability (see
-  /// TrieVerifier::DecideSimilar).  Reported probabilities of pairs decided
-  /// early are certified lower bounds (> τ) flagged as inexact.  Ignored
-  /// when always_verify is set.  Off by default to match the paper's
-  /// algorithm; the ablation benchmark quantifies the speedup.
-  bool early_stop_verification = false;
-
-  VerifyMethod verify_method = VerifyMethod::kTrie;
   VerifyOptions verify;
   ProbeSetOptions probe;
 

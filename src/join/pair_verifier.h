@@ -14,11 +14,12 @@ namespace ujoin::internal {
 /// \brief Verification front-end for one probe string R, shared by the
 /// self-join and search drivers.
 ///
-/// Builds the configured verifier (plain or compressed trie) at most once
-/// per probe and reuses it for every candidate (the Section 6.2
-/// amortization).  When the trie overflows its node budget the verifier
-/// falls back per pair to VerifyPairProbability's chain (cheaper-side trie,
-/// compressed trie, naive enumeration).
+/// One fixed chain: R's plain trie, built once per probe and reused for
+/// every candidate (the Section 6.2 amortization); R's compressed trie,
+/// also built once, when the plain one exceeds VerifyOptions::max_trie_nodes
+/// (its node budget does not grow with string length); and, when both
+/// overflow, VerifyPairProbability per pair (cheaper-side trie, compressed
+/// trie, naive enumeration).
 class PairVerifier {
  public:
   PairVerifier(const UncertainString& r, const JoinOptions& options)
@@ -26,22 +27,18 @@ class PairVerifier {
 
   /// Exact Pr(ed(R, s) <= k).
   Result<double> Probability(const UncertainString& s, VerifyStats* stats) {
-    if (options_.verify_method == VerifyMethod::kNaive) {
-      return NaiveVerifyProbability(r_, s, options_.k, options_.verify, stats);
-    }
     EnsureVerifier();
     if (trie_.has_value()) return trie_->Probability(s, stats);
     if (compressed_.has_value()) return compressed_->Probability(s, stats);
     return VerifyPairProbability(r_, s, options_.k, options_.verify, stats);
   }
 
-  /// (k, τ) verdict; terminates early when the configuration allows it.
+  /// The (k, τ) verdict, whose walk stops as soon as the verdict is
+  /// certain; the exact probability when JoinOptions::always_verify is set
+  /// or neither of R's tries fits.
   Result<ThresholdVerdict> Decide(const UncertainString& s, double tau,
                                   VerifyStats* stats) {
-    const bool can_stop_early = options_.early_stop_verification &&
-                                !options_.always_verify &&
-                                options_.verify_method != VerifyMethod::kNaive;
-    if (can_stop_early) {
+    if (!options_.always_verify) {
       EnsureVerifier();
       if (trie_.has_value()) return trie_->DecideSimilar(s, tau, stats);
       if (compressed_.has_value()) {
@@ -56,30 +53,24 @@ class PairVerifier {
 
  private:
   void EnsureVerifier() {
-    if (trie_.has_value() || compressed_.has_value() || failed_) return;
-    if (options_.verify_method == VerifyMethod::kTrie) {
-      Result<TrieVerifier> verifier =
-          TrieVerifier::Create(r_, options_.k, options_.verify);
-      if (verifier.ok()) {
-        trie_.emplace(std::move(verifier).value());
-        return;
-      }
-    } else if (options_.verify_method == VerifyMethod::kCompressedTrie) {
-      Result<CompressedTrieVerifier> verifier =
-          CompressedTrieVerifier::Create(r_, options_.k, options_.verify);
-      if (verifier.ok()) {
-        compressed_.emplace(std::move(verifier).value());
-        return;
-      }
+    if (built_) return;
+    built_ = true;  // don't retry a blown-up trie per candidate
+    Result<TrieVerifier> trie =
+        TrieVerifier::Create(r_, options_.k, options_.verify);
+    if (trie.ok()) {
+      trie_.emplace(std::move(trie).value());
+      return;
     }
-    failed_ = true;  // don't retry a blown-up trie per candidate
+    Result<CompressedTrieVerifier> compressed =
+        CompressedTrieVerifier::Create(r_, options_.k, options_.verify);
+    if (compressed.ok()) compressed_.emplace(std::move(compressed).value());
   }
 
   const UncertainString& r_;
   const JoinOptions& options_;
   std::optional<TrieVerifier> trie_;
   std::optional<CompressedTrieVerifier> compressed_;
-  bool failed_ = false;
+  bool built_ = false;
 };
 
 }  // namespace ujoin::internal

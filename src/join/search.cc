@@ -142,10 +142,7 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
     query_summary.emplace(FrequencySummary::Build(query, alphabet_));
   }
   JoinOptions effective_options = options_;
-  if (force_exact) {
-    effective_options.always_verify = true;
-    effective_options.early_stop_verification = false;
-  }
+  if (force_exact) effective_options.always_verify = true;
 
   const double qgram_tau =
       options_.qgram_probabilistic_pruning ? options_.tau : 0.0;
@@ -349,9 +346,8 @@ Status SimilaritySearcher::Save(const std::string& path) const {
   flags |= options_.use_cdf_filter ? 4 : 0;
   flags |= options_.qgram_probabilistic_pruning ? 8 : 0;
   flags |= options_.always_verify ? 16 : 0;
-  flags |= options_.early_stop_verification ? 32 : 0;
   writer.WriteU8(flags);
-  writer.WriteU8(static_cast<uint8_t>(options_.verify_method));
+  writer.WriteU8(0);  // reserved: the former verify-method byte
   writer.WriteU64(collection_.size());
   for (const UncertainString& s : collection_) {
     SerializeUncertainString(s, &writer);
@@ -399,13 +395,14 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
   options.use_cdf_filter = *flags & 4;
   options.qgram_probabilistic_pruning = *flags & 8;
   options.always_verify = *flags & 16;
-  options.early_stop_verification = *flags & 32;
-  Result<uint8_t> method = reader.ReadU8();
-  if (!method.ok()) return method.status();
-  if (*method > static_cast<uint8_t>(VerifyMethod::kNaive)) {
+  // Older builds stored two verification settings here, flag bit 32 and a
+  // method of 0-2 in the reserved byte; both are ignored, since every
+  // searcher verifies through one fixed chain.
+  Result<uint8_t> reserved = reader.ReadU8();
+  if (!reserved.ok()) return reserved.status();
+  if (*reserved > 2) {
     return Status::InvalidArgument("corrupt searcher: bad verify method");
   }
-  options.verify_method = static_cast<VerifyMethod>(*method);
 
   Result<uint64_t> count = reader.ReadU64();
   if (!count.ok()) return count.status();

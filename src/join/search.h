@@ -29,7 +29,9 @@ struct ExplainResult;
 inline constexpr uint32_t kSearcherFormatVersion = 2;
 
 /// \brief One hit of a similarity search: a collection index plus the match
-/// probability (exact when `exact`, else a certified CDF lower bound > τ).
+/// probability (exact when `exact`, else a certified lower bound > τ from the
+/// CDF filter or from verification stopped at its (k, τ) verdict; see
+/// JoinOptions::always_verify).
 struct SearchHit {
   uint32_t id;
   double probability;

@@ -16,7 +16,8 @@ namespace ujoin {
 ///
 /// Indices refer to the input collection and satisfy lhs < rhs.  When
 /// `exact` is true, `probability` is the exact Pr(ed(R,S) <= k); otherwise
-/// the pair was accepted by the CDF lower bound without verification and
+/// the pair was accepted by the CDF lower bound without verification, or
+/// its verification stopped once the (k, τ) verdict was certain, and
 /// `probability` is a certified lower bound (still > τ).  Set
 /// JoinOptions::always_verify to force exact probabilities everywhere.
 struct JoinPair {
@@ -46,7 +47,8 @@ struct SelfJoinResult {
 /// order; each string queries the inverted segment index of previously
 /// visited strings (q-gram filtering with probabilistic pruning), survivors
 /// pass through frequency-distance filtering and CDF-bound filtering, and
-/// undecided pairs are verified exactly with the trie-based verifier.
+/// undecided pairs are decided by the trie-based verifier (to their (k, τ)
+/// verdict, or to the exact probability under JoinOptions::always_verify).
 /// Filter stages toggle via JoinOptions to form the QFCT/QCT/QFT/FCT
 /// variants of Section 7.
 ///

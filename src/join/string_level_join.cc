@@ -106,26 +106,14 @@ Result<SelfJoinResult> StringLevelSelfJoin(
 
       ScopedTimer timer(&result.stats.verify_time);
       ++result.stats.verified_pairs;
-      bool similar;
-      double probability;
-      bool exact;
-      if (options.early_stop_verification) {
-        const StringLevelVerdict verdict =
-            DecideStringLevelSimilar(r, s, options.k, options.tau);
-        similar = verdict.similar;
-        probability = verdict.lower;
-        exact = verdict.exact;
-      } else {
-        probability = StringLevelMatchProbability(r, s, options.k);
-        similar = probability > options.tau;
-        exact = true;
-      }
-      if (similar) {
+      const StringLevelVerdict verdict =
+          DecideStringLevelSimilar(r, s, options.k, options.tau);
+      if (verdict.similar) {
         ++result.stats.result_pairs;
         uint32_t a = order[i];
         uint32_t b = order[j];
         if (a > b) std::swap(a, b);
-        result.pairs.push_back(JoinPair{a, b, probability, exact});
+        result.pairs.push_back(JoinPair{a, b, verdict.lower, verdict.exact});
       }
     }
   }

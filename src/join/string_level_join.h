@@ -14,8 +14,6 @@ namespace ujoin {
 struct StringLevelJoinOptions {
   int k = 2;
   double tau = 0.1;
-  /// Stop per-pair verification once the (k, τ) verdict is certain.
-  bool early_stop_verification = true;
 };
 
 /// Self-join over string-level uncertain strings: all pairs with
@@ -26,7 +24,9 @@ struct StringLevelJoinOptions {
 ///   1. length filter — instance length ranges must come within k,
 ///   2. frequency-distance lower bound over per-symbol [min, max] count
 ///      envelopes (the Lemma 6 idea applied to the instance set),
-///   3. early-terminated exact verification over instance pairs.
+///   3. verification over instance pairs, stopped once the (k, τ) verdict
+///      is certain (a pair's probability may be a certified lower bound,
+///      flagged inexact).
 Result<SelfJoinResult> StringLevelSelfJoin(
     const std::vector<StringLevelUncertainString>& collection,
     const Alphabet& alphabet, const StringLevelJoinOptions& options);

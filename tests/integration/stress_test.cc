@@ -31,9 +31,7 @@ TEST_P(PipelineStressTest, RandomConfigurationMatchesGroundTruth) {
   options.use_freq_filter = rng.Bernoulli(0.7);
   options.use_cdf_filter = rng.Bernoulli(0.7);
   options.qgram_probabilistic_pruning = rng.Bernoulli(0.7);
-  options.early_stop_verification = rng.Bernoulli(0.5);
-  options.verify_method =
-      rng.Bernoulli(0.3) ? VerifyMethod::kCompressedTrie : VerifyMethod::kTrie;
+  options.always_verify = rng.Bernoulli(0.5);
 
   testing::RandomStringOptions gen;
   gen.min_length = std::max(1, options.k);

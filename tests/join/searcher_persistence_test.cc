@@ -120,6 +120,71 @@ TEST(SearcherPersistenceTest, SaveLoadSaveFilesAreByteIdentical) {
   std::remove(path_b.c_str());
 }
 
+// Older builds stored two verification settings in the header: flag bit 32
+// of byte 24 and a method byte (byte 25, 0-2).  Both are read and ignored
+// now, so such an image answers like a default searcher and re-saves as one;
+// a method byte above 2 stays corrupt.
+TEST(SearcherPersistenceTest, LegacyVerifySettingsLoadAndAreDropped) {
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> collection = SmallDataset(60, 309);
+  Result<SimilaritySearcher> original = SimilaritySearcher::Create(
+      collection, alphabet, JoinOptions::Qfct(2, 0.1));
+  ASSERT_TRUE(original.ok());
+  const std::string path = TempPath("ujoin_searcher_legacy.bin");
+  const std::string resaved_path = TempPath("ujoin_searcher_legacy_re.bin");
+  const auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto write_all = [](const std::string& file, const std::string& data) {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  };
+  ASSERT_TRUE(original->Save(path).ok());
+  const std::string bytes = read_all(path);
+  ASSERT_GT(bytes.size(), 26u);
+  ASSERT_EQ(bytes[24] & 32, 0);
+  ASSERT_EQ(bytes[25], 0);
+  const std::vector<UncertainString> queries = SmallDataset(15, 310);
+
+  for (const char method : {'\1', '\2'}) {
+    SCOPED_TRACE(static_cast<int>(method));
+    std::string legacy = bytes;
+    legacy[24] = static_cast<char>(legacy[24] | 32);
+    legacy[25] = method;
+    write_all(path, legacy);
+    Result<SimilaritySearcher> loaded =
+        SimilaritySearcher::Load(path, alphabet);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    for (const UncertainString& query : queries) {
+      Result<std::vector<SearchHit>> want = original->Search(query);
+      Result<std::vector<SearchHit>> got = loaded->Search(query);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_EQ(got->size(), want->size());
+      for (size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ((*got)[i].id, (*want)[i].id);
+        EXPECT_EQ((*got)[i].probability, (*want)[i].probability);
+        EXPECT_EQ((*got)[i].exact, (*want)[i].exact);
+      }
+    }
+    ASSERT_TRUE(loaded->Save(resaved_path).ok());
+    // Compared as a bool: a failing EXPECT_EQ would print both images.
+    EXPECT_TRUE(read_all(resaved_path) == bytes)
+        << "the re-saved image differs from the default searcher's";
+  }
+
+  std::string corrupt = bytes;
+  corrupt[25] = 3;
+  write_all(path, corrupt);
+  Result<SimilaritySearcher> rejected =
+      SimilaritySearcher::Load(path, alphabet);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+  std::remove(resaved_path.c_str());
+}
+
 TEST(SearcherPersistenceTest, SaveLoadRoundTripIdenticalResults) {
   const Alphabet alphabet = Alphabet::Names();
   const std::vector<UncertainString> collection = SmallDataset(80, 302);

@@ -1,5 +1,6 @@
 #include "join/self_join.h"
 
+#include <algorithm>
 #include <map>
 #include <ostream>
 #include <set>
@@ -9,6 +10,8 @@
 #include "datagen/datagen.h"
 #include "testing/test_util.h"
 #include "util/rng.h"
+#include "verify/compressed_trie.h"
+#include "verify/instance_trie.h"
 
 namespace ujoin {
 namespace {
@@ -190,23 +193,75 @@ TEST(SelfJoinTest, ConservativeQGramModeAlsoExact) {
   EXPECT_EQ(PairSet(*got), PairSet(*truth));
 }
 
-TEST(SelfJoinTest, AllVerifyMethodsGiveSameResults) {
-  const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> collection = SmallDataset(30, 0.25, 9);
-  JoinOptions trie_options = JoinOptions::Qfct(2, 0.1);
-  JoinOptions compressed_options = trie_options;
-  compressed_options.verify_method = VerifyMethod::kCompressedTrie;
-  JoinOptions naive_options = trie_options;
-  naive_options.verify_method = VerifyMethod::kNaive;
-  Result<SelfJoinResult> trie =
-      SimilaritySelfJoin(collection, alphabet, trie_options);
-  Result<SelfJoinResult> compressed =
-      SimilaritySelfJoin(collection, alphabet, compressed_options);
-  Result<SelfJoinResult> naive =
-      SimilaritySelfJoin(collection, alphabet, naive_options);
-  ASSERT_TRUE(trie.ok() && compressed.ok() && naive.ok());
-  EXPECT_EQ(PairSet(*trie), PairSet(*naive));
-  EXPECT_EQ(PairSet(*trie), PairSet(*compressed));
+// The verifier chain: R's plain trie, R's compressed trie when the plain one
+// is over VerifyOptions::max_trie_nodes, then VerifyPairProbability per pair
+// (both sides' tries, naive enumeration last).  Capping the trie size forces
+// each fallback; the pair set never changes.
+TEST(SelfJoinTest, VerifierChainGivesSameResults) {
+  // At most two uncertain positions keep every compressed trie small, while
+  // the plain tries of most uncertain strings are several times larger.
+  DatasetOptions data_opt;
+  data_opt.kind = DatasetOptions::Kind::kNames;
+  data_opt.size = 120;
+  data_opt.theta = 0.3;
+  data_opt.seed = 9;
+  data_opt.min_length = 4;
+  data_opt.max_length = 10;
+  data_opt.max_uncertain_positions = 2;
+  const Dataset data = GenerateDataset(data_opt);
+  const Alphabet& alphabet = data.alphabet;
+  const std::vector<UncertainString>& collection = data.strings;
+  int64_t max_plain = 0;
+  int64_t max_compressed = 0;
+  for (const UncertainString& s : collection) {
+    max_plain = std::max(max_plain, InstanceTrie::Build(s)->num_nodes());
+    max_compressed = std::max(max_compressed,
+                              CompressedInstanceTrie::Build(s)->num_nodes());
+  }
+  // Every compressed trie fits, and the largest plain tries do not.
+  const int64_t compressed_cap = max_compressed;
+  ASSERT_LT(compressed_cap, max_plain);
+  // One node fits only the compressed trie of a certain string, so pairs of
+  // two uncertain strings reach naive enumeration.
+  const int64_t naive_cap = 1;
+
+  for (const bool always_verify : {false, true}) {
+    SCOPED_TRACE(always_verify ? "always_verify" : "verdict");
+    // QFT: without the CDF filter every frequency survivor is verified.
+    JoinOptions options = JoinOptions::Qft(2, 0.1);
+    options.always_verify = always_verify;
+    Result<SelfJoinResult> uncapped =
+        SimilaritySelfJoin(collection, alphabet, options);
+    ASSERT_TRUE(uncapped.ok());
+    ASSERT_GT(uncapped->stats.verified_pairs, 0);
+    EXPECT_EQ(uncapped->stats.verify_stats.world_pairs, 0);
+
+    for (const int64_t cap : {compressed_cap, naive_cap}) {
+      SCOPED_TRACE(cap);
+      JoinOptions capped_options = options;
+      capped_options.verify.max_trie_nodes = cap;
+      Result<SelfJoinResult> capped =
+          SimilaritySelfJoin(collection, alphabet, capped_options);
+      ASSERT_TRUE(capped.ok());
+      EXPECT_EQ(PairSet(*capped), PairSet(*uncapped));
+      const VerifyStats& verify = capped->stats.verify_stats;
+      if (cap == compressed_cap) {
+        // Trie walks only, some of them over R's smaller compressed trie.
+        EXPECT_EQ(verify.world_pairs, 0);
+        EXPECT_LT(verify.r_trie_nodes,
+                  uncapped->stats.verify_stats.r_trie_nodes);
+      } else {
+        EXPECT_GT(verify.world_pairs, 0);
+      }
+      if (!always_verify) continue;
+      ASSERT_EQ(capped->pairs.size(), uncapped->pairs.size());
+      for (size_t i = 0; i < capped->pairs.size(); ++i) {
+        EXPECT_TRUE(capped->pairs[i].exact);
+        EXPECT_NEAR(capped->pairs[i].probability,
+                    uncapped->pairs[i].probability, 1e-9);
+      }
+    }
+  }
 }
 
 TEST(SelfJoinTest, StatsFlowAddsUp) {

@@ -66,23 +66,31 @@ TEST(StringLevelJoinTest, MatchesBruteForce) {
 }
 
 TEST(StringLevelJoinTest, EarlyStopAndExactModesAgree) {
+  // The join decides each pair by its (k, τ) verdict: the pair set is the
+  // exact one, and each probability is a certified lower bound on the
+  // exact match probability (equal to it when flagged exact).
   const Alphabet alphabet = Alphabet::Names();
   const std::vector<StringLevelUncertainString> collection =
       SmallCollection(40, 62);
-  StringLevelJoinOptions early;
-  early.k = 2;
-  early.tau = 0.15;
-  StringLevelJoinOptions exact = early;
-  exact.early_stop_verification = false;
-  Result<SelfJoinResult> a = StringLevelSelfJoin(collection, alphabet, early);
-  Result<SelfJoinResult> b = StringLevelSelfJoin(collection, alphabet, exact);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->pairs.size(), b->pairs.size());
-  for (size_t i = 0; i < a->pairs.size(); ++i) {
-    EXPECT_EQ(a->pairs[i].lhs, b->pairs[i].lhs);
-    EXPECT_EQ(a->pairs[i].rhs, b->pairs[i].rhs);
-    EXPECT_LE(a->pairs[i].probability, b->pairs[i].probability + 1e-9);
+  StringLevelJoinOptions options;
+  options.k = 2;
+  options.tau = 0.15;
+  Result<SelfJoinResult> got =
+      StringLevelSelfJoin(collection, alphabet, options);
+  ASSERT_TRUE(got.ok());
+  std::set<std::pair<uint32_t, uint32_t>> got_pairs;
+  for (const JoinPair& p : got->pairs) {
+    got_pairs.insert({p.lhs, p.rhs});
+    const double exact =
+        StringLevelMatchProbability(collection[p.lhs], collection[p.rhs],
+                                    options.k);
+    EXPECT_GT(p.probability, options.tau);
+    EXPECT_LE(p.probability, exact + 1e-9);
+    if (p.exact) {
+      EXPECT_NEAR(p.probability, exact, 1e-9);
+    }
   }
+  EXPECT_EQ(got_pairs, BruteForce(collection, options.k, options.tau));
 }
 
 TEST(StringLevelJoinTest, MixedLengthCollections) {

@@ -93,9 +93,11 @@ TEST(EarlyStopJoinTest, SameResultSetAsExactJoin) {
   data_opt.max_length = 10;
   data_opt.max_uncertain_positions = 4;
   const Dataset data = GenerateDataset(data_opt);
-  JoinOptions exact_options = JoinOptions::Qfct(2, 0.1);
-  JoinOptions early_options = exact_options;
-  early_options.early_stop_verification = true;
+  // The default join decides verified pairs by their (k, τ) verdict;
+  // always_verify asks for exact probabilities.
+  const JoinOptions early_options = JoinOptions::Qfct(2, 0.1);
+  JoinOptions exact_options = early_options;
+  exact_options.always_verify = true;
   Result<SelfJoinResult> exact =
       SimilaritySelfJoin(data.strings, data.alphabet, exact_options);
   Result<SelfJoinResult> early =

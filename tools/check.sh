@@ -5,9 +5,11 @@
 # tests under ThreadSanitizer, the full suite under UndefinedBehaviorSanitizer,
 # the full suite with the observability instrumentation compiled out
 # (-DUJOIN_OBS=OFF, CI's obs-off job), the index-probe micro-bench gates
-# (speedup + zero allocations), an observability smoke: a CLI join with
-# metrics + tracing whose JSON outputs are schema-validated, plus the
-# allocation gate with recording on, and a
+# (speedup + zero allocations), a CLI smoke (tools/cli_smoke.sh): a join
+# with metrics + tracing whose JSON outputs are schema-validated, the
+# default join against --exact (same pairs, lower bounds <= exact), the
+# rejection of a removed join flag and a batch search's index figures,
+# plus the allocation gate with recording on, and a
 # live-monitoring smoke (tools/live_smoke.sh): HTTP scrape of /metrics and
 # /healthz from a held join, exposition-format validation, and the
 # --trace-sample=N probe-span reduction check, plus a resident-service
@@ -92,50 +94,8 @@ echo "==> [9/14] index probe micro-bench (speedup + zero-allocation gates)"
 UJOIN_BENCH_SCALE="${UJOIN_BENCH_SCALE:-0.25}" \
   ./build/bench/bench_index_probe build/BENCH_probe.json
 
-echo "==> [10/14] CLI observability smoke (run report + trace schemas)"
-OBS_DIR="build/obs-smoke"
-mkdir -p "$OBS_DIR"
-./build/tools/ujoin_cli generate --kind=names --size=200 --seed=11 \
-  --out="$OBS_DIR/data.txt" >/dev/null
-./build/tools/ujoin_cli join --input="$OBS_DIR/data.txt" --kind=names \
-  --k=2 --tau=0.1 --threads=2 --progress \
-  --out="$OBS_DIR/pairs.txt" \
-  --metrics-out="$OBS_DIR/metrics.json" \
-  --trace-out="$OBS_DIR/trace.json" 2>/dev/null >/dev/null
-python3 - "$OBS_DIR/metrics.json" "$OBS_DIR/trace.json" <<'PYEOF'
-import json, sys
-
-report = json.load(open(sys.argv[1]))
-assert report["schema"] == "ujoin.run_report", report.get("schema")
-assert report["schema_version"] == 1
-assert report["command"] == "join"
-for key in ("options", "stats", "metrics"):
-    assert key in report, f"run report missing section '{key}'"
-stats = report["stats"]
-for key in ("pairs", "time_seconds", "index", "verify"):
-    assert key in stats, f"stats missing '{key}'"
-metrics = report["metrics"]
-for key in ("counters", "gauges", "histograms"):
-    assert key in metrics, f"metrics missing '{key}'"
-assert metrics["counters"]["probes"] == 200, metrics["counters"]
-for name in ("verify_latency_ns", "merged_list_length",
-             "candidate_alpha_ppm", "explored_trie_nodes"):
-    hist = metrics["histograms"][name]
-    for key in ("unit", "count", "sum", "buckets"):
-        assert key in hist, f"histogram '{name}' missing '{key}'"
-
-trace = json.load(open(sys.argv[2]))
-events = trace["traceEvents"]
-assert events, "trace has no events"
-spans = {e["name"] for e in events if e["ph"] == "X"}
-for name in ("index_insert", "wave_probe", "probe", "wave_merge"):
-    assert name in spans, f"trace missing span '{name}'"
-# Metadata ("M") events carry no timestamp; complete ("X") events must.
-assert all({"ph", "pid"} <= e.keys() for e in events)
-assert all({"ts", "dur", "tid"} <= e.keys()
-           for e in events if e["ph"] == "X")
-print("run report and trace are schema-valid")
-PYEOF
+echo "==> [10/14] CLI smoke (run report + trace schemas, verification contract)"
+bash tools/cli_smoke.sh build
 
 echo "==> [11/14] zero-allocation and overhead gates with recording on"
 ./build/tests/frozen_index_test \

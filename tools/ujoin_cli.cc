@@ -7,11 +7,15 @@
 //              [--gamma=5] [--seed=42] [--max-uncertain=0] --out=FILE
 //   ujoin_cli join --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] [--variant=QFCT|QCT|QFT|FCT] [--exact]
-//              [--early-stop] [--threads=1] [--wave-size=0] [--out=FILE]
+//              [--threads=1] [--wave-size=0] [--out=FILE]
 //              [--metrics-out=FILE] [--trace-out=FILE] [--trace-sample=N]
 //              [--prom-out=FILE] [--listen=PORT] [--listen-hold] [--progress]
 //              [--flight-record[=FILE]] [--watchdog-ms=N]
-//              (--threads=0 uses all cores; results are identical for
+//              (prints one "lhs<TAB>rhs<TAB>probability" line per pair; a
+//               pair decided by its (k, tau) verdict carries a certified
+//               lower bound marked "(lower bound)", unless --exact asks for
+//               exact probabilities.  The pair set is the same either way.
+//               --threads=0 uses all cores; results are identical for
 //               every thread count and wave size)
 //   ujoin_cli index --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] --out=FILE.idx
@@ -129,6 +133,7 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "serve/search_server.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -431,30 +436,7 @@ void OnJoinProgress(const JoinProgress& progress, void* user) {
 std::string OptionsJson(const JoinOptions& options) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("k");
-  w.Int(options.k);
-  w.Key("tau");
-  w.Double(options.tau);
-  w.Key("q");
-  w.Int(options.q);
-  w.Key("use_qgram_filter");
-  w.Bool(options.use_qgram_filter);
-  w.Key("use_freq_filter");
-  w.Bool(options.use_freq_filter);
-  w.Key("use_cdf_filter");
-  w.Bool(options.use_cdf_filter);
-  w.Key("qgram_probabilistic_pruning");
-  w.Bool(options.qgram_probabilistic_pruning);
-  w.Key("always_verify");
-  w.Bool(options.always_verify);
-  w.Key("early_stop_verification");
-  w.Bool(options.early_stop_verification);
-  w.Key("verify_method");
-  w.String(options.verify_method == VerifyMethod::kTrie
-               ? "trie"
-               : options.verify_method == VerifyMethod::kCompressedTrie
-                     ? "compressed_trie"
-                     : "naive");
+  AppendJoinOptionsFields(options, &w);
   w.Key("threads");
   w.Int(options.threads);
   w.Key("wave_size");
@@ -568,7 +550,6 @@ int RunJoin(Flags& flags) {
     return 2;
   }
   options.always_verify = flags.GetBool("exact");
-  options.early_stop_verification = flags.GetBool("early-stop");
   options.threads = flags.GetInt("threads", 1);
   options.wave_size = flags.GetInt("wave-size", 0);
   const std::string out_path = flags.GetString("out");
@@ -689,6 +670,8 @@ int RunSearch(Flags& flags) {
   obs::TraceRecorder* const trace =
       obs_out.trace_path.empty() ? nullptr : &obs_out.tracer;
 
+  // The index build is timed around Create; a loaded --index builds nothing.
+  double index_build_time = 0.0;
   Result<SimilaritySearcher> searcher = [&]() -> Result<SimilaritySearcher> {
     if (!index_path.empty()) {
       flags.GetString("input");  // accepted but ignored with --index
@@ -696,6 +679,7 @@ int RunSearch(Flags& flags) {
     }
     Result<std::vector<UncertainString>> input = LoadInput(flags, *alphabet);
     if (!input.ok()) return input.status();
+    ScopedTimer build_timer(&index_build_time);
     return SimilaritySearcher::Create(std::move(*input), *alphabet, options);
   }();
   if (!flags.Validate()) return 2;
@@ -703,6 +687,12 @@ int RunSearch(Flags& flags) {
     std::fprintf(stderr, "error: %s\n", searcher.status().ToString().c_str());
     return 1;
   }
+  // The search drivers report per-query work only; the index figures of the
+  // printed stats and the run report come from the searcher itself.
+  const auto add_index_stats = [&](JoinStats* stats) {
+    stats->index_build_time = index_build_time;
+    stats->peak_index_memory = searcher->IndexMemoryUsage();
+  };
   obs::QueryLog query_log;
   obs::QueryLog* query_log_ptr = nullptr;
   if (OpenQueryLog(query_log_path, &query_log, &query_log_ptr) != 0) return 1;
@@ -728,6 +718,7 @@ int RunSearch(Flags& flags) {
       std::fprintf(stderr, "error: %s\n", hits.status().ToString().c_str());
       return 1;
     }
+    add_index_stats(&stats);
     size_t total_hits = 0;
     for (size_t q = 0; q < hits->size(); ++q) {
       for (const SearchHit& hit : (*hits)[q]) {
@@ -792,6 +783,7 @@ int RunSearch(Flags& flags) {
                 searcher->collection()[hit.id].ToString().c_str());
   }
   std::fprintf(stderr, "%zu hits\n", hits->size());
+  add_index_stats(&stats);
   int rc = WriteObsOutputs(obs_out, "search", options, stats);
   if (FinishQueryLog(query_log_path, &query_log) != 0) rc = 1;
   if (FinishFlight(flight, &watchdog) != 0) rc = 1;
