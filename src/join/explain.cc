@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/json_writer.h"
-#include "util/simd.h"
 
 namespace ujoin {
 
@@ -228,8 +227,6 @@ std::string RenderExplainJson(const SimilaritySearcher& searcher,
   w.Key("deadline_fallbacks");
   w.Int(stats.deadline_fallbacks);
   w.EndObject();
-  w.Key("simd_isa");
-  w.String(simd::kIsaName);
   if (include_timing) {
     // Wall clock, appended last so `--no-timing` yields a prefix-stable,
     // byte-reproducible envelope (the registry's ns-exclusion discipline).
@@ -276,8 +273,7 @@ std::string RenderExplainNarrative(const SimilaritySearcher& searcher,
          std::to_string(searcher.collection().size()) +
          " strings, k=" + std::to_string(options.k) +
          " tau=" + JsonWriter::FormatDouble(options.tau) +
-         " q=" + std::to_string(options.q) + " [" + simd::kIsaName +
-         "]\n";
+         " q=" + std::to_string(options.q) + "\n";
   for (const ExplainProbe& probe : result.data.probes) {
     out += "  probe length " + std::to_string(probe.length) + ": " +
            std::to_string(probe.indexed_ids) + " indexed";

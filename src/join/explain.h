@@ -31,8 +31,9 @@ class JsonWriter;
 }  // namespace obs
 
 /// Version of the "ujoin.explain" JSON envelope schema.  Version 2 dropped
-/// two verification-setting keys from "options".
-inline constexpr int kExplainSchemaVersion = 2;
+/// two verification-setting keys from "options", version 3 the constant
+/// kernel-form key.
+inline constexpr int kExplainSchemaVersion = 3;
 
 /// Writes the persisted (k, τ) and filter options as keys of the JSON
 /// object `w` has open: the explain envelope's "options" object and the

@@ -8,8 +8,6 @@
 #include <csignal>
 #include <cstring>
 
-#include "util/simd.h"
-
 namespace ujoin {
 namespace obs {
 
@@ -311,15 +309,13 @@ void FlightRecorder::DumpToFd(int fd, const FlightDumpOptions& options) const {
   char buf[kSinkBufBytes];
   int len = 0;
   SinkRaw(fd, buf, &len,
-          "{\"schema\":\"ujoin.flight_record\",\"schema_version\":1,"
+          "{\"schema\":\"ujoin.flight_record\",\"schema_version\":2,"
           "\"reason\":\"");
   SinkRaw(fd, buf, &len, options.reason);
   SinkRaw(fd, buf, &len, "\",\"signal\":");
   SinkInt(fd, buf, &len, options.signal);
   SinkRaw(fd, buf, &len, ",\"build\":{\"compiler\":\"");
   SinkRaw(fd, buf, &len, __VERSION__);
-  SinkRaw(fd, buf, &len, "\",\"simd_isa\":\"");
-  SinkRaw(fd, buf, &len, simd::kIsaName);
   SinkRaw(fd, buf, &len, "\"},\"dropped_events\":");
   SinkInt(fd, buf, &len, dropped_.load(std::memory_order_relaxed));
   SinkRaw(fd, buf, &len, ",\"threads_registered\":");

@@ -36,9 +36,9 @@ namespace obs {
 //
 // The dump is the versioned "ujoin.flight_record" JSON document (see
 // DESIGN.md "Flight recorder and watchdog" and
-// tools/validate_flight_record.py): per-thread recent events, the event
-// registry snapshot (per-kind totals + drop count), and build info
-// (compiler and kernel form).
+// tools/validate.py): per-thread recent events, the event registry
+// snapshot (per-kind totals + drop count), and build info (the
+// compiler).  Version 2 dropped the constant kernel-form key.
 //
 // Ring sizing: kMaxThreadSlots covers the worker crews this repo ever
 // starts (join workers + serve crew + watchdog + main); kEventsPerThread

@@ -66,7 +66,7 @@ struct QueryLogRecord {
 inline constexpr int kQueryLogSchemaVersion = 1;
 
 /// Deterministic request id: splitmix64 over (connection << 32) ^ seq.
-/// Reimplemented (with 64-bit masking) by tools/validate_query_log.py, so
+/// Reimplemented (with 64-bit masking) by tools/validate.py, so
 /// the mixing constants are part of the schema.
 inline uint64_t QueryRequestId(int64_t connection, int64_t seq) {
   uint64_t x = (static_cast<uint64_t>(connection) << 32) ^

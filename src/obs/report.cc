@@ -3,7 +3,6 @@
 #include <fstream>
 
 #include "obs/json_writer.h"
-#include "util/simd.h"
 
 namespace ujoin {
 namespace obs {
@@ -18,10 +17,6 @@ std::string RenderRunReport(std::string_view command,
   w.Int(kRunReportSchemaVersion);
   w.Key("command");
   w.String(command);
-  // The kernel form the producing build runs (util/simd.h): "scalar", the
-  // one portable form every target runs.
-  w.Key("simd_isa");
-  w.String(simd::kIsaName);
   for (const ReportSection& section : sections) {
     w.Key(section.key);
     w.RawValue(section.json);

@@ -12,9 +12,10 @@ namespace obs {
 
 /// Schema identifier and version of the run-report envelope.  Bump the
 /// version on any incompatible key change; the schema is documented in
-/// DESIGN.md "Observability".
+/// DESIGN.md "Observability".  Version 2 dropped the constant
+/// kernel-form key.
 inline constexpr const char* kRunReportSchema = "ujoin.run_report";
-inline constexpr int kRunReportSchemaVersion = 1;
+inline constexpr int kRunReportSchemaVersion = 2;
 
 /// \brief One top-level section of a run report: a key plus a pre-rendered
 /// JSON value.
@@ -30,7 +31,7 @@ struct ReportSection {
 /// \brief Renders the run-report envelope shared by `ujoin_cli
 /// join|search --metrics-out` and every BENCH_*.json:
 ///
-///   {"schema":"ujoin.run_report","schema_version":1,
+///   {"schema":"ujoin.run_report","schema_version":2,
 ///    "command":<command>, <sections in order>}
 ///
 /// Section keys in common use: "options", "stats" (JoinStats::ToJson),

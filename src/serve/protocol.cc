@@ -2,7 +2,6 @@
 
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "util/simd.h"
 
 namespace ujoin {
 namespace serve {
@@ -104,8 +103,6 @@ std::string RenderServeHealth(const SimilaritySearcher& searcher) {
   w.String("ok");
   w.Key("searcher_format_version");
   w.Int(static_cast<int64_t>(kSearcherFormatVersion));
-  w.Key("simd_isa");
-  w.String(simd::kIsaName);
   w.Key("obs");
 #ifdef UJOIN_OBS_DISABLED
   w.Bool(false);

@@ -20,18 +20,14 @@
 //    into an FMA that rounds once instead of twice.
 //
 // This header is also the only place in the tree allowed to emit
-// `__builtin_prefetch` or ISA intrinsics (tools/ujoin_lint.py, rule
-// `simd-intrinsics`).  None of the kernels allocates; all write only
+// `__builtin_prefetch` or ISA intrinsics (tools/ujoin_effects.py, scope
+// contract `simd-intrinsics`).  None of the kernels allocates; all write only
 // through caller-provided pointers, preserving the steady-state
 // zero-allocation probe path.
 // ---------------------------------------------------------------------------
 
 namespace ujoin {
 namespace simd {
-
-/// The kernel form every build runs.  Recorded as "simd_isa" in the run
-/// report, /healthz, the explain envelope and the flight record.
-inline constexpr char kIsaName[] = "scalar";
 
 /// CDF banded-DP cell update (Theorem 4, cdf_filter.cc).  Computes the
 /// `width` = k+1 (L[j], U[j]) bound lanes of one band cell from its three

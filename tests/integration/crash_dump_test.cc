@@ -4,7 +4,7 @@
 // child died with that signal AND left a well-formed "ujoin.flight_record"
 // crash dump behind — written by the async-signal-safe fd path, since no
 // orderly exit ever ran.  The dump is then re-validated by
-// tools/validate_flight_record.py (ctest fixture ujoin_flight_crash).
+// tools/validate.py (ctest fixture ujoin_flight_crash).
 //
 // Skipped under ASan/TSan: both sanitizers own the SIGSEGV disposition
 // (allow_user_segv_handler) and fork+signal death is exactly what their

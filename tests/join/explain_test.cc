@@ -86,7 +86,7 @@ TEST(ExplainTest, JsonWithoutTimingIsByteDeterministic) {
     const std::string json =
         RenderExplainJson(*a, query, *ra1, limits, /*include_timing=*/false);
     EXPECT_EQ(json.rfind("{\"schema\":\"ujoin.explain\","
-                         "\"schema_version\":2,", 0),
+                         "\"schema_version\":3,", 0),
               0u)
         << json.substr(0, 80);
     EXPECT_EQ(json.back(), '\n');

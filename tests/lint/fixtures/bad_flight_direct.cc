@@ -1,9 +1,9 @@
-// ujoin-lint-fixture: as=src/join/search.cc rule=flight-macro-only expect=2
+// ujoin-effects-fixture: as=src/join/search.cc
 //
-// Seeded violations: pipeline code recording flight events by calling the
-// FlightRecorder directly.  These sites keep running when -DUJOIN_OBS=OFF
-// is supposed to compile instrumentation out, and they dodge the
-// flight-path effects contract rooted at the macro's expansion.
+// Seeded obs-isolation violations: pipeline code recording flight events
+// by calling the FlightRecorder directly.  These sites keep running when
+// -DUJOIN_OBS=OFF is supposed to compile instrumentation out, and they
+// bypass UJOIN_OBS_FLIGHT_EVENT, the one record site outside src/obs/.
 namespace ujoin {
 
 namespace obs {
@@ -16,12 +16,12 @@ FlightRecorder* GlobalFlightRecorder();
 }  // namespace obs
 
 void ProbeOnce(long deadline_ns) {
-  obs::GlobalFlightRecorder()->RecordEvent(  // violation
+  obs::GlobalFlightRecorder()->RecordEvent(  // flagged: obs-isolation
       obs::FlightEvent::kQueryBegin, deadline_ns, 0);
 }
 
 void FinishProbe(obs::FlightRecorder& recorder, long hits) {
-  recorder.RecordEvent(obs::FlightEvent::kQueryEnd, hits, 0);  // violation
+  recorder.RecordEvent(obs::FlightEvent::kQueryEnd, hits, 0);  // flagged: obs-isolation
 }
 
 }  // namespace ujoin

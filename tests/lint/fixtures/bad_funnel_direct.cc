@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/search.cc rule=obs-macro-only expect=2
+// ujoin-effects-fixture: as=src/join/search.cc
 //
 // Seeded violations: driver code recording the filter funnel by calling
 // Recorder::AddFunnel directly.  These sites lose the null-recorder guard
@@ -15,11 +15,11 @@ class Recorder {
 }  // namespace obs
 
 void RecordQueryFunnel(obs::Recorder* rec, long window, long candidates) {
-  rec->AddFunnel(obs::FunnelStage::kQgram, window, candidates);  // violation
+  rec->AddFunnel(obs::FunnelStage::kQgram, window, candidates);  // flagged: obs-isolation
 }
 
 void RecordVerifyFunnel(obs::Recorder& rec, long verified, long emitted) {
-  rec.AddFunnel(obs::FunnelStage::kVerify, verified, emitted);  // violation
+  rec.AddFunnel(obs::FunnelStage::kVerify, verified, emitted);  // flagged: obs-isolation
 }
 
 }  // namespace ujoin

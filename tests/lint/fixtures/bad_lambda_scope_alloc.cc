@@ -1,11 +1,11 @@
-// ujoin-lint-fixture: as=src/filter/probe_set.cc rule=probe-path-alloc expect=2
+// ujoin-effects-fixture: as=src/filter/probe_set.cc
 //
-// Tracker regression (PR 9): lambda bodies get their own frames.  A
-// lambda defined at namespace scope in a probe-path file is function
-// scope — its local allocations are violations — and a lambda inside a
-// non-whitelisted function does not hide its enclosing function's name.
-// The PR 4 tracker attributed the first to "file scope" (local-container
-// rule skipped) and both allocations went unreported.
+// Tracker regression: lambda bodies get their own frames.  A lambda
+// defined at namespace scope is a function body — its locals are
+// allocation evidence, and a call through its name reaches it — and a
+// lambda inside a function keeps a frame of its own under that function,
+// which invokes it.  A tracker that gave either no frame would leave its
+// allocation outside every function, and the probe root clean.
 #include <string>
 #include <vector>
 
@@ -13,16 +13,23 @@ namespace ujoin {
 
 // File-scope lambda: runs per probe, so its locals are steady-state.
 const auto kNormalizeKey = [](const std::string& key) {
-  std::string lowered = key;  // local std::string inside the lambda body
+  std::string lowered = key;  // flagged: probe-path (local std::string)
   return lowered;
 };
 
 int ProbeWidth(const std::vector<int>& widths) {
   const auto pick = [&](int index) {
-    std::vector<int> staged(widths);  // local container inside the lambda
+    std::vector<int> staged(widths);  // flagged: probe-path (local container)
     return staged[static_cast<size_t>(index)];
   };
   return pick(0);
 }
+
+class InvertedSegmentIndex {
+ public:
+  int Query(const std::string& key, const std::vector<int>& widths) const {
+    return static_cast<int>(kNormalizeKey(key).size()) + ProbeWidth(widths);
+  }
+};
 
 }  // namespace ujoin

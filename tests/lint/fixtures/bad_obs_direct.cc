@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/self_join.cc rule=obs-macro-only expect=3
+// ujoin-effects-fixture: as=src/join/self_join.cc
 //
 // Seeded violations: worker code recording metrics by calling the Recorder
 // directly.  These sites lose the null-recorder guard and keep running
@@ -18,12 +18,12 @@ class Recorder {
 }  // namespace obs
 
 void ProbeOnce(obs::Recorder* rec, long elapsed_ns) {
-  rec->RecordHist(obs::Hist::kProbeLatencyNs, elapsed_ns);  // violation
-  rec->AddCounter(obs::Counter::kProbes, 1);                // violation
+  rec->RecordHist(obs::Hist::kProbeLatencyNs, elapsed_ns);  // flagged: obs-isolation
+  rec->AddCounter(obs::Counter::kProbes, 1);                // flagged: obs-isolation
 }
 
 void Configure(obs::Recorder& rec, long threads) {
-  rec.SetGauge(obs::Gauge::kThreads, threads);  // violation
+  rec.SetGauge(obs::Gauge::kThreads, threads);  // flagged: obs-isolation
 }
 
 }  // namespace ujoin

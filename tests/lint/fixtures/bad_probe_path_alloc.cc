@@ -1,9 +1,10 @@
-// ujoin-lint-fixture: as=src/index/flat_postings.cc rule=probe-path-alloc expect=4
+// ujoin-effects-fixture: as=src/index/flat_postings.cc
 //
-// Seeded violations: allocations inside probe-path functions that are NOT
-// on the build/freeze whitelist.  Find() runs once per posting-list lookup;
-// any of these would break the steady-state zero-allocation guarantee the
-// operator-new hook tests enforce at runtime.
+// Seeded probe-path violations, one per allocation pattern: Find() runs
+// once per posting-list lookup under the probe root and is on no
+// whitelist, so each of these lines would break the steady-state
+// zero-allocation guarantee the operator-new hook tests enforce at
+// runtime.
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -18,17 +19,25 @@ struct Posting {
 class FlatPostings {
  public:
   const Posting* Find(const std::string& key) const {
-    std::vector<char> copy(key.begin(), key.end());  // violation: local container
-    std::string padded = key + "\0";                 // violation: local string
-    int* scratch = new int[4];                       // violation: new
+    std::vector<char> copy(key.begin(), key.end());  // flagged: probe-path (local container)
+    std::string padded = key + "\0";                 // flagged: probe-path (local string)
+    int* scratch = new int[4];                       // flagged: probe-path (new)
     delete[] scratch;
-    void* raw = std::malloc(copy.size());            // violation: malloc
+    void* raw = std::malloc(copy.size());            // flagged: probe-path (malloc)
     std::free(raw);
     return padded.empty() ? nullptr : &postings_[0];
   }
 
  private:
   std::vector<Posting> postings_;
+};
+
+class InvertedSegmentIndex {
+ public:
+  const Posting* Query(const FlatPostings& postings,
+                       const std::string& key) const {
+    return postings.Find(key);
+  }
 };
 
 }  // namespace ujoin

@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/serve/search_server.cc rule=unordered-iteration expect=2
+// ujoin-effects-fixture: as=src/serve/search_server.cc
 //
 // Seeded violations: the serve layer renders response lines and metric
 // snapshots whose bytes clients compare verbatim (the differential harness
@@ -13,13 +13,13 @@ namespace ujoin::serve {
 class ResponseRenderer {
  public:
   void RenderHits() const {
-    for (const auto& [id, prob] : hits_by_id_) {  // violation: range-for
+    for (const auto& [id, prob] : hits_by_id_) {  // flagged: unordered-iteration: range-for
       std::printf("{\"id\":%d,\"probability\":%f}", id, prob);
     }
   }
 
   void RenderSnapshot() const {
-    for (auto it = hits_by_id_.begin(); it != hits_by_id_.end();  // violation
+    for (auto it = hits_by_id_.begin(); it != hits_by_id_.end();  // flagged: unordered-iteration
          ++it) {
       std::printf("%d\n", it->first);
     }

@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/pair_collector.cc rule=unordered-iteration expect=3
+// ujoin-effects-fixture: as=src/join/pair_collector.cc
 //
 // Seeded violations: iterating unordered containers in a file that (per its
 // fixture path) produces join results.  The iteration order depends on hash
@@ -15,14 +15,14 @@ namespace ujoin {
 class PairCollector {
  public:
   void Emit() const {
-    for (const auto& [key, count] : counts_) {  // violation: range-for
+    for (const auto& [key, count] : counts_) {  // flagged: unordered-iteration: range-for
       std::printf("%s %d\n", key.c_str(), count);
     }
   }
 
   std::vector<int> SortedIds() const {
     std::vector<int> out;
-    for (auto it = ids_.begin(); it != ids_.end(); ++it) {  // violation
+    for (auto it = ids_.begin(); it != ids_.end(); ++it) {  // flagged: unordered-iteration
       out.push_back(*it);
     }
     return out;
@@ -34,7 +34,7 @@ class PairCollector {
 };
 
 void DumpTemporary() {
-  for (int id : std::unordered_set<int>{3, 1, 2}) {  // violation: temporary
+  for (int id : std::unordered_set<int>{3, 1, 2}) {  // flagged: unordered-iteration: temporary
     std::printf("%d\n", id);
   }
 }

@@ -1,12 +1,13 @@
-// ujoin-lint-fixture: as=src/index/flat_postings.cc rule=probe-path-alloc expect=0
+// ujoin-effects-fixture: as=src/index/flat_postings.cc contract=probe-path,stale-annotation
 //
-// Tracker regression (PR 9): constructor init lists.  The PR 4 tracker
-// attributed a constructor body following `: a_(x), b_(y)` to the last
-// initializer name (`slots_` here), so the whitelisted FlatPostings
-// constructor was flagged for its build-time allocations.  The fixed
-// tracker attributes the body to the constructor itself.  Lambdas defined
-// inside a whitelisted build function inherit its whitelist membership
-// (named_base), so the comparator below is clean too.
+// Tracker regression: constructor init lists.  The body after
+// `: stride_(stride), slots_(keys * 2)` belongs to the FlatPostings
+// constructor, not to the last initializer (`slots_`): the probe root
+// builds a scratch FlatPostings on first use, reaches the constructor,
+// and its declares(alloc) blesses the arena.  A tracker that named the
+// body `slots_` would leave the constructor call unresolved and the
+// annotation stale.  The lambda inside Freeze gets a frame of its own
+// under Freeze, whose assumes(alloc) covers the comparator's key copies.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -18,12 +19,14 @@ class FlatPostings {
   FlatPostings(size_t keys, size_t stride)
       : stride_(stride),
         slots_(keys * 2) {
-    std::vector<char> arena(keys * stride);  // build-time: whitelisted
+    // ujoin-effect: declares(alloc) -- the arena is sized once at build
+    std::vector<char> arena(keys * stride);
     arena_ = arena;
   }
 
+  // ujoin-effect: assumes(alloc) -- freeze-time sort, comparator included
   void Freeze() {
-    std::vector<int> order(slots_);  // build-time: whitelisted
+    std::vector<int> order(slots_);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       std::string ka(1, arena_[static_cast<size_t>(a)]);  // in Freeze's lambda
       std::string kb(1, arena_[static_cast<size_t>(b)]);
@@ -35,6 +38,14 @@ class FlatPostings {
   size_t stride_;
   size_t slots_;
   std::vector<char> arena_;
+};
+
+class InvertedSegmentIndex {
+ public:
+  void Query(size_t keys) const {
+    FlatPostings scratch(keys, 8);
+    scratch.Freeze();
+  }
 };
 
 }  // namespace ujoin

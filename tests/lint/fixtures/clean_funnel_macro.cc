@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/search.cc rule=obs-macro-only expect=0
+// ujoin-effects-fixture: as=src/join/search.cc contract=obs-isolation
 //
 // Clean counterpart of bad_funnel_direct.cc: funnel recording goes through
 // UJOIN_OBS_FUNNEL (null-guarded, compiled out under -DUJOIN_OBS=OFF);

@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/self_join.cc rule=obs-macro-only expect=0
+// ujoin-effects-fixture: as=src/join/self_join.cc contract=obs-isolation
 //
 // Clean counterpart of bad_obs_direct.cc: recording goes through the
 // UJOIN_OBS_* macros (null-guarded, compiled out under -DUJOIN_OBS=OFF);

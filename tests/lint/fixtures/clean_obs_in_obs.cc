@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/obs/report.cc rule=obs-macro-only expect=0
+// ujoin-effects-fixture: as=src/obs/report.cc contract=obs-isolation
 //
 // Scoping check: inside src/obs/ the Recorder API is the implementation
 // itself, so direct calls are allowed.

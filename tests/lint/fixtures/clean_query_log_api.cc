@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/serve/protocol.cc rule=query-log-api expect=0
+// ujoin-effects-fixture: as=src/serve/protocol.cc contract=query-log-api
 //
 // Scoping check: protocol.cc is the serve layer's designated rendering
 // TU — the wire responses and the /healthz body are built here, covered

@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/datagen/seeded.cc rule=rng-source expect=0
+// ujoin-effects-fixture: as=src/datagen/seeded.cc contract=rng-source
 //
 // Clean counterpart of bad_rng_source.cc: the seeded repo Rng, plus
 // lookalike tokens that must NOT fire (identifiers containing "rand" or

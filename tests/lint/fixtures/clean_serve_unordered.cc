@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/serve/search_server.cc rule=unordered-iteration expect=0
+// ujoin-effects-fixture: as=src/serve/search_server.cc contract=unordered-iteration
 //
 // Clean counterpart of bad_serve_unordered.cc: the serve layer renders
 // hits in the id-sorted order Search returns them (a vector), and unordered

@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/util/simd_neon.h rule=simd-intrinsics expect=0
+// ujoin-effects-fixture: as=src/util/simd_neon.h contract=simd-intrinsics
 //
 // Clean counterpart of bad_simd_intrinsics.cc: the same raw vector forms
 // (header include, NEON types and calls, __builtin_prefetch) are allowed

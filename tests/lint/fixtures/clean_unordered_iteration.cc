@@ -1,4 +1,4 @@
-// ujoin-lint-fixture: as=src/join/pair_collector.cc rule=unordered-iteration expect=0
+// ujoin-effects-fixture: as=src/join/pair_collector.cc contract=unordered-iteration
 //
 // Clean counterpart of bad_unordered_iteration.cc: unordered containers
 // used only for O(1) membership/lookup (order never observed), iteration

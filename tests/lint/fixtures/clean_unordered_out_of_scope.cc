@@ -1,8 +1,8 @@
-// ujoin-lint-fixture: as=src/eed/rival_model.cc rule=unordered-iteration expect=0
+// ujoin-effects-fixture: as=src/eed/rival_model.cc contract=unordered-iteration
 //
 // Scoping check: this file iterates an unordered_map, but its fixture path
 // is outside the deterministic-output file set (src/eed is the rival
-// baseline, which never emits join results), so the rule must not fire.
+// baseline, which never emits join results), so the contract must not fire.
 #include <string>
 #include <unordered_map>
 #include <vector>

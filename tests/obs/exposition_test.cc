@@ -151,7 +151,7 @@ TEST(ExpositionTest, TextfileWriteIsAtomicAndByteIdentical) {
 }
 
 // Writes a rendered page into the current working directory for the
-// ctest-registered python format validator (tools/validate_exposition.py);
+// ctest-registered python format validator (tools/validate.py);
 // see tests/CMakeLists.txt, `ujoin_exposition_validate`.
 TEST(ExpositionTest, WritesSampleForValidator) {
   ASSERT_TRUE(

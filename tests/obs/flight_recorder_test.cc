@@ -1,7 +1,7 @@
 // Flight recorder unit tests: ring overwrite, byte-golden redacted dumps,
 // the in-flight block the watchdog reads, torn-read safety under a live
 // writer (the TSan leg's target), and the validator sample fixture
-// (tools/validate_flight_record.py checks the bytes this test writes).
+// (tools/validate.py checks the bytes this test writes).
 
 #include "obs/flight_recorder.h"
 
@@ -257,7 +257,7 @@ TEST(FlightRecorderTest, DumpAndReadRaceLiveWriterSafely) {
   EXPECT_NE(final_dump.find("\"recorded\":60000"), std::string::npos);
 }
 
-// Writes the sample record tools/validate_flight_record.py checks (ctest
+// Writes the sample record tools/validate.py checks (ctest
 // fixture ujoin_flight_record_sample; working directory is the binary dir).
 TEST(FlightRecorderTest, WritesSampleForValidator) {
   FlightRecorder* recorder = GlobalFlightRecorder();

@@ -32,7 +32,7 @@ JoinStats SeededQueryStats() {
   return s;
 }
 
-// The request id is part of the schema (tools/validate_query_log.py
+// The request id is part of the schema (tools/validate.py
 // recomputes it); pin the splitmix64 mixing with golden values.
 TEST(QueryLogTest, RequestIdGoldenValues) {
   EXPECT_EQ(QueryRequestId(0, 1), 10451216379200822465ull);
@@ -74,7 +74,7 @@ TEST(QueryLogTest, MakeRecordFromStats) {
 }
 
 // The JSONL line is byte-golden: key order and value formatting are the
-// schema, shared with tools/validate_query_log.py.
+// schema, shared with tools/validate.py.
 TEST(QueryLogTest, RenderedLineIsByteGolden) {
   QueryLogRecord rec =
       MakeQueryLogRecord(SeededQueryStats(), 3, 7, 22, 3, false);
@@ -254,7 +254,7 @@ TEST(SlowQueryRingTest, RendersSlowQueriesPage) {
 }
 
 // Writes a real log through SearchMany for the ctest fixture that runs
-// tools/validate_query_log.py against it (see tests/CMakeLists.txt) — the
+// tools/validate.py against it (see tests/CMakeLists.txt) — the
 // C++ renderer and the independent python validator must agree on every
 // byte-level schema rule.
 TEST(QueryLogTest, WritesSampleForValidator) {

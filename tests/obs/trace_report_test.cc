@@ -131,8 +131,8 @@ TEST(RunReportTest, EnvelopeHasSchemaAndSections) {
       RenderRunReport("join", {{"options", R"({"k":2})"},
                                {"stats", R"({"pairs":5})"}});
   EXPECT_EQ(report,
-            R"({"schema":"ujoin.run_report","schema_version":1,)"
-            R"("command":"join","simd_isa":"scalar",)"
+            R"({"schema":"ujoin.run_report","schema_version":2,)"
+            R"("command":"join",)"
             R"("options":{"k":2},"stats":{"pairs":5}})");
 }
 

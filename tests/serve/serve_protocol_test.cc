@@ -156,7 +156,6 @@ TEST(ProtocolRenderTest, ServeHealthDescribesTheBuildAndTheIndex) {
   EXPECT_EQ(health.rfind("{\"status\":\"ok\",\"searcher_format_version\":", 0),
             0u)
       << health;
-  EXPECT_NE(health.find("\"simd_isa\":\"scalar\""), std::string::npos);
   EXPECT_NE(health.find("\"metrics_schema_version\":"), std::string::npos);
   EXPECT_NE(health.find("\"collection_size\":30"), std::string::npos);
   EXPECT_NE(health.find("\"index_length_buckets\":"), std::string::npos);

@@ -1,26 +1,8 @@
 #!/usr/bin/env bash
-# Repo check driver, mirroring the CI gate matrix (.github/workflows/ci.yml):
-# invariant lint, warning-hardened Release build + tier-1 tests, clang-tidy
-# (skipped with a notice when not installed), the concurrency-sensitive join
-# tests under ThreadSanitizer, the full suite under UndefinedBehaviorSanitizer,
-# the full suite with the observability instrumentation compiled out
-# (-DUJOIN_OBS=OFF, CI's obs-off job), the index-probe micro-bench gates
-# (speedup + zero allocations), a CLI smoke (tools/cli_smoke.sh): a join
-# with metrics + tracing whose JSON outputs are schema-validated, the
-# default join against --exact (same pairs, lower bounds <= exact), the
-# rejection of a removed join flag and a batch search's index figures,
-# plus the allocation gate with recording on, and a
-# live-monitoring smoke (tools/live_smoke.sh): HTTP scrape of /metrics and
-# /healthz from a held join, exposition-format validation, and the
-# --trace-sample=N probe-span reduction check, plus a resident-service
-# smoke (tools/serve_smoke.sh): a socket query batch against `ujoin_cli
-# serve`, a /metrics scrape of the serve-layer series, a clean SIGINT
-# shutdown, and the watchdog-stall leg (slow query under --watchdog-ms,
-# /debug/stalls content identical across 1/2/4 concurrent clients, flight
-# records validated by tools/validate_flight_record.py), and a benchmark
-# harness smoke: perfbench/ built from source and one short traced
-# join_names run, which exits 0 only when its 1-thread, 2-thread and
-# traced-replay pair lists agree byte for byte and its layer times close.
+# Repo checks: the CI gate matrix (.github/workflows/ci.yml) run
+# locally, one step per `==>` line below.  clang-tidy is skipped with a
+# notice when it is not installed; each smoke script's header says what it
+# checks.
 #
 # Usage: tools/check.sh [jobs]
 #   jobs defaults to the machine's core count.
@@ -38,13 +20,11 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1${ASAN_OPTIONS:+:$ASAN_OPTION
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 
-echo "==> [1/14] invariant lint + effect analysis (self-tests + repo scans)"
-python3 tools/ujoin_lint.py --self-test
-python3 tools/ujoin_lint.py
+echo "==> [1/14] static analyzer (self-test + repo scan), validator self-test"
 python3 tools/ujoin_effects.py --self-test
-python3 tools/ujoin_effects.py --require-roots
-python3 tools/validate_query_log.py --self-test
-python3 tools/validate_flight_record.py --self-test
+mkdir -p build
+python3 tools/ujoin_effects.py --require-roots --report build/ujoin.effects
+python3 tools/validate.py --self-test
 
 echo "==> [2/14] configure + build (Release, warnings as errors)"
 cmake -B build -S . -DUJOIN_WERROR=ON >/dev/null
@@ -62,21 +42,13 @@ fi
 echo "==> [4/14] tier-1 test suite"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "==> [5/14] configure + build (ThreadSanitizer)"
+echo "==> [5/14] configure + build the tsan-labelled tests (ThreadSanitizer)"
 cmake -B build-tsan -S . -DUJOIN_SANITIZE=thread \
   -DUJOIN_BUILD_BENCHMARKS=OFF -DUJOIN_BUILD_EXAMPLES=OFF >/dev/null
-TSAN_TARGETS=(self_join_parallel_test self_cross_differential_test \
-  join_stats_test self_join_test cross_join_test join_obs_test \
-  scrape_server_test serve_protocol_test serve_differential_test \
-  slow_query_test verify_budget_test flight_recorder_test watchdog_test \
-  serve_idle_test)
-cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
+cmake --build build-tsan -j "$JOBS" --target ujoin_tsan_tests
 
-echo "==> [6/14] parallel join tests under TSan"
-for t in "${TSAN_TARGETS[@]}"; do
-  echo "--- $t"
-  "./build-tsan/tests/$t"
-done
+echo "==> [6/14] tsan-labelled tests under TSan"
+ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
 
 echo "==> [7/14] full suite under UBSan"
 cmake -B build-ubsan -S . -DUJOIN_SANITIZE=undefined \

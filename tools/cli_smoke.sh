@@ -35,7 +35,7 @@ import json, sys
 
 report = json.load(open(sys.argv[1]))
 assert report["schema"] == "ujoin.run_report", report.get("schema")
-assert report["schema_version"] == 1
+assert report["schema_version"] == 2
 assert report["command"] == "join"
 for key in ("options", "stats", "metrics"):
     assert key in report, f"run report missing section '{key}'"

@@ -3,7 +3,7 @@
 #
 #   1. runs a CLI join with --listen (ephemeral port) and --listen-hold,
 #      scrapes /metrics and /healthz over real HTTP while the process is
-#      holding, and validates the page with tools/validate_exposition.py;
+#      holding, and validates the page with tools/validate.py;
 #   2. shuts the held process down with SIGINT and checks a clean exit;
 #   3. re-runs the join with --trace-sample=N and asserts the sampled trace
 #      keeps every driver/wave span, records the sampling rate in its
@@ -90,7 +90,7 @@ with open(out_path, "wb") as f:
 print(f"scraped /healthz and /metrics ({len(body)} bytes)")
 PYEOF
 
-python3 tools/validate_exposition.py "$DIR/metrics.prom"
+python3 tools/validate.py "$DIR/metrics.prom"
 
 kill -INT "$JOIN_PID"
 wait "$JOIN_PID"

@@ -75,7 +75,7 @@
 //                       ujoin.flight_record — and writes the same dump
 //                       (reason "manual") at orderly exit.  The document is
 //                       versioned ujoin.flight_record JSON; check it with
-//                       tools/validate_flight_record.py.
+//                       tools/validate.py.
 //   --watchdog-ms=N     starts a stall watchdog: a query/wave running past
 //                       4x its own deadline (or past N ms when it has no
 //                       deadline) is captured as a stall report — length
