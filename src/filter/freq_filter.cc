@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "filter/event_dp.h"
 #include "util/check.h"
 #include "util/math_util.h"
 #include "util/simd.h"
@@ -26,70 +25,98 @@ double CharFrequencySummary::ExpectedDeficitBelow(int a) const {
 
 FrequencySummary FrequencySummary::Build(const UncertainString& s,
                                          const Alphabet& alphabet) {
-  // ujoin-effect: declares(alloc) -- summaries are built once per query (and
-  // once per string at index build), not per candidate pair.
   FrequencySummary out;
-  out.length_ = s.length();
-  out.chars_.resize(static_cast<size_t>(alphabet.size()));
-  std::vector<std::vector<double>> uncertain_probs(
-      static_cast<size_t>(alphabet.size()));
+  BuildInto(s, alphabet, &out);
+  return out;
+}
+
+void FrequencySummary::BuildInto(const UncertainString& s,
+                                 const Alphabet& alphabet,
+                                 FrequencySummary* out) {
+  // ujoin-effect: declares(alloc) -- grows the summary's two blocks until
+  // they fit; a warm summary (the query's, kept in its QueryWorkspace)
+  // rebuilds without allocating.
+  out->length_ = s.length();
+  std::vector<Symbol>& symbols = out->symbols_;
+  symbols.assign(static_cast<size_t>(alphabet.size()), Symbol{});
   for (int i = 0; i < s.length(); ++i) {
+    const bool certain = s.IsCertain(i);
     for (const CharProb& cp : s.AlternativesAt(i)) {
       const int idx = alphabet.IndexOf(cp.symbol);
       UJOIN_CHECK(idx >= 0);
-      if (s.IsCertain(i)) {
-        ++out.chars_[static_cast<size_t>(idx)].certain_count;
+      Symbol& h = symbols[static_cast<size_t>(idx)];
+      if (certain) {
+        ++h.certain_count;
       } else {
-        uncertain_probs[static_cast<size_t>(idx)].push_back(cp.prob);
+        ++h.uncertain_count;
       }
     }
   }
-  for (size_t c = 0; c < out.chars_.size(); ++c) {
-    CharFrequencySummary& summary = out.chars_[c];
-    summary.uncertain_count = static_cast<int>(uncertain_probs[c].size());
-    summary.pmf = EventCountDistribution(uncertain_probs[c]);
-    const size_t n = summary.pmf.size();  // uncertain_count + 1
-    summary.tail.assign(n, 0.0);
-    summary.scaled_tail.assign(n, 0.0);
-    summary.scaled_head.assign(n, 0.0);
-    summary.tail[n - 1] = summary.pmf[n - 1];
-    summary.scaled_tail[n - 1] = summary.pmf[n - 1];
-    for (size_t x = n - 1; x-- > 0;) {
-      summary.tail[x] = summary.tail[x + 1] + summary.pmf[x];
-      summary.scaled_tail[x] = summary.scaled_tail[x + 1] + summary.tail[x];
+  // Lay out S1..S4 for the symbols with uncertain occurrences, each pmf
+  // starting as the zero-event distribution (1, 0, ..., 0).
+  size_t total = 0;
+  for (Symbol& h : symbols) {
+    if (h.uncertain_count == 0) continue;
+    h.offset = static_cast<uint32_t>(total);
+    total += 4 * (static_cast<size_t>(h.uncertain_count) + 1);
+  }
+  UJOIN_CHECK(total <= UINT32_MAX);
+  std::vector<double>& values = out->values_;
+  values.assign(total, 0.0);
+  for (Symbol& h : symbols) {
+    if (h.uncertain_count == 0) continue;
+    values[h.offset] = 1.0;
+    h.uncertain_count = 0;  // counts the events folded in below
+  }
+  // The event DP of Section 3.1, one row per symbol in its pmf slot: each
+  // symbol's uncertain probabilities are folded in position order.
+  for (int i = 0; i < s.length(); ++i) {
+    if (s.IsCertain(i)) continue;
+    for (const CharProb& cp : s.AlternativesAt(i)) {
+      Symbol& h = symbols[static_cast<size_t>(alphabet.IndexOf(cp.symbol))];
+      simd::EventDpStep(cp.prob, ++h.uncertain_count, &values[h.offset]);
     }
-    double head = summary.pmf[0];  // Σ_{y <= x-1} pmf[y] while filling x
+  }
+  for (Symbol& h : symbols) {
+    if (h.uncertain_count == 0) {
+      h.expected = h.certain_count;
+      continue;
+    }
+    const size_t n = static_cast<size_t>(h.uncertain_count) + 1;
+    double* const pmf = &values[h.offset];
+    double* const tail = pmf + n;
+    double* const scaled_tail = tail + n;
+    double* const scaled_head = scaled_tail + n;
+    tail[n - 1] = pmf[n - 1];
+    scaled_tail[n - 1] = pmf[n - 1];
+    for (size_t x = n - 1; x-- > 0;) {
+      tail[x] = tail[x + 1] + pmf[x];
+      scaled_tail[x] = scaled_tail[x + 1] + tail[x];
+    }
+    double head = pmf[0];  // Σ_{y <= x-1} pmf[y] while filling x
     for (size_t x = 1; x < n; ++x) {
-      summary.scaled_head[x] = summary.scaled_head[x - 1] + head;
-      head += summary.pmf[x];
+      scaled_head[x] = scaled_head[x - 1] + head;
+      head += pmf[x];
     }
     // Σ y·pmf[y] via the 4-slot dot kernel.  The tail/scaled_tail/scaled_head
     // scans above are prefix sums: each element depends on the previous
     // one; the fold-ordered frequency-distance math is the dot products
     // consuming these arrays (here and in ExpectedPositivePart).
-    const double mean_uncertain =
-        n > 1 ? simd::IotaDotSlots(summary.pmf.data() + 1, 1, n - 1) : 0.0;
-    summary.expected = summary.certain_count + mean_uncertain;
+    h.expected = h.certain_count + simd::IotaDotSlots(pmf + 1, 1, n - 1);
   }
-  return out;
 }
 
 size_t FrequencySummary::MemoryUsage() const {
-  size_t bytes = sizeof(*this) + chars_.capacity() * sizeof(CharFrequencySummary);
-  for (const CharFrequencySummary& c : chars_) {
-    bytes += (c.pmf.capacity() + c.tail.capacity() + c.scaled_tail.capacity() +
-              c.scaled_head.capacity()) *
-             sizeof(double);
-  }
-  return bytes;
+  return symbols_.capacity() * sizeof(Symbol) +
+         values_.capacity() * sizeof(double);
 }
 
-double ExpectedPositivePart(const CharFrequencySummary& a,
-                            const CharFrequencySummary& b) {
-  if (b.uncertain_count < a.uncertain_count) {
-    // E[(a-b)+] = E[a] - E[b] + E[(b-a)+]; recurse over the smaller support.
-    return a.expected - b.expected + ExpectedPositivePart(b, a);
-  }
+namespace {
+
+// E[(a-b)+] summed over a's uncertain support; ExpectedPositivePart calls it
+// with the smaller support as `a`.
+inline double PositivePartOverSupportOf(const CharFrequencySummary& a,
+                                        const CharFrequencySummary& b) {
   // E[(a-b)+] = Σ_x Pr(f_a = certain_a + x) · E[(certain_a + x - f_b)+].
   // Split by which branch of ExpectedDeficitBelow(certain_a + x) applies
   // (u = certain_a + x - certain_b):
@@ -116,14 +143,25 @@ double ExpectedPositivePart(const CharFrequencySummary& a,
   return std::max(total, 0.0);
 }
 
+}  // namespace
+
+double ExpectedPositivePart(const CharFrequencySummary& a,
+                            const CharFrequencySummary& b) {
+  if (b.uncertain_count < a.uncertain_count) {
+    // E[(a-b)+] = E[a] - E[b] + E[(b-a)+], summed over the smaller support.
+    return a.expected - b.expected + PositivePartOverSupportOf(b, a);
+  }
+  return PositivePartOverSupportOf(a, b);
+}
+
 int FreqDistanceLowerBound(const FrequencySummary& r,
                            const FrequencySummary& s) {
   UJOIN_CHECK(r.alphabet_size() == s.alphabet_size());
   int pos = 0;  // Σ over symbols with fS^t < fR^c of (fR^c - fS^t)
   int neg = 0;  // Σ over symbols with fR^t < fS^c of (fS^c - fR^t)
   for (int c = 0; c < r.alphabet_size(); ++c) {
-    const CharFrequencySummary& fr = r.ForSymbol(c);
-    const CharFrequencySummary& fs = s.ForSymbol(c);
+    const CharFrequencySummary fr = r.ForSymbol(c);
+    const CharFrequencySummary fs = s.ForSymbol(c);
     if (fs.max_count() < fr.certain_count) {
       pos += fr.certain_count - fs.max_count();
     }
@@ -139,8 +177,8 @@ ExpectedFreqDistances ExpectedFreqDistance(const FrequencySummary& r,
   UJOIN_CHECK(r.alphabet_size() == s.alphabet_size());
   ExpectedFreqDistances out{0.0, 0.0};
   for (int c = 0; c < r.alphabet_size(); ++c) {
-    const CharFrequencySummary& fr = r.ForSymbol(c);
-    const CharFrequencySummary& fs = s.ForSymbol(c);
+    const CharFrequencySummary fr = r.ForSymbol(c);
+    const CharFrequencySummary fs = s.ForSymbol(c);
     if (fr.max_count() == 0 && fs.max_count() == 0) continue;
     out.pos += ExpectedPositivePart(fr, fs);
     out.neg += ExpectedPositivePart(fs, fr);

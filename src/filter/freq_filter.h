@@ -2,6 +2,8 @@
 #define UJOIN_FILTER_FREQ_FILTER_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "text/alphabet.h"
@@ -10,25 +12,27 @@
 namespace ujoin {
 
 /// \brief Frequency statistics of one alphabet symbol c_i in an uncertain
-/// string (Section 5).
+/// string (Section 5): a view into the FrequencySummary that owns them,
+/// valid until that summary is rebuilt or destroyed.
 ///
 /// The symbol occurs at `certain_count` positions with probability 1 (f^c)
 /// and may occur at `uncertain_count` further positions (f^u); its total
 /// count is f^c plus a Poisson-binomial variable over the uncertain
-/// positions.  The four precomputed arrays are the paper's S1..S4:
+/// positions.  The four arrays, each f^u + 1 long, are the paper's S1..S4:
 ///   pmf[x]         = Pr(x uncertain occurrences)                     (S1)
 ///   tail[x]        = Pr(at least x uncertain occurrences)            (S2)
 ///   scaled_tail[x] = Σ_{y>=x} (y - x + 1) · pmf[y]                   (S3)
 ///   scaled_head[x] = Σ_{y<=x} (x - y) · pmf[y]                       (S4)
 /// All are O(f^u) space and built in O((f^u)²) time (pmf) + O(f^u) (rest).
+/// A symbol with no uncertain occurrence reads {1}, {1}, {1}, {0}.
 struct CharFrequencySummary {
   int certain_count = 0;
   int uncertain_count = 0;
   double expected = 0.0;  ///< E[f] = f^c + Σ y · pmf[y]
-  std::vector<double> pmf;
-  std::vector<double> tail;
-  std::vector<double> scaled_tail;
-  std::vector<double> scaled_head;
+  std::span<const double> pmf;
+  std::span<const double> tail;
+  std::span<const double> scaled_tail;
+  std::span<const double> scaled_head;
 
   int max_count() const { return certain_count + uncertain_count; }
 
@@ -41,6 +45,12 @@ struct CharFrequencySummary {
 
 /// \brief Per-string frequency side-structure kept in the join index so the
 /// frequency filter runs in O(σ · θ · (|R| + |S|)) per candidate pair.
+///
+/// Two blocks hold it: one header per alphabet symbol (f^c, f^u, E[f] and
+/// an offset), and one array with the S1..S4 values of the symbols that
+/// have uncertain occurrences, each laid out pmf | tail | scaled_tail |
+/// scaled_head.  A string's summary therefore costs what its uncertain
+/// content needs, not four arrays per alphabet symbol.
 class FrequencySummary {
  public:
   /// Builds summaries for every symbol of `alphabet` appearing in `s`.
@@ -48,17 +58,43 @@ class FrequencySummary {
   static FrequencySummary Build(const UncertainString& s,
                                 const Alphabet& alphabet);
 
+  /// Rebuilds `out` for `s` in place, reusing its two blocks: once they
+  /// have grown to fit, a rebuild allocates nothing.  The result is
+  /// bit-identical to Build's.
+  static void BuildInto(const UncertainString& s, const Alphabet& alphabet,
+                        FrequencySummary* out);
+
   int length() const { return length_; }
-  int alphabet_size() const { return static_cast<int>(chars_.size()); }
-  const CharFrequencySummary& ForSymbol(int index) const {
-    return chars_[static_cast<size_t>(index)];
+  int alphabet_size() const { return static_cast<int>(symbols_.size()); }
+  CharFrequencySummary ForSymbol(int index) const {
+    const Symbol& h = symbols_[static_cast<size_t>(index)];
+    const double* block =
+        h.uncertain_count > 0 ? values_.data() + h.offset : kCertainOnly;
+    const size_t n = static_cast<size_t>(h.uncertain_count) + 1;
+    return CharFrequencySummary{h.certain_count,  h.uncertain_count,
+                                h.expected,       {block, n},
+                                {block + n, n},   {block + 2 * n, n},
+                                {block + 3 * n, n}};
   }
 
-  /// Approximate heap footprint, for index memory accounting.
+  /// Bytes of the two blocks (their capacity).
   size_t MemoryUsage() const;
 
  private:
-  std::vector<CharFrequencySummary> chars_;
+  struct Symbol {
+    int certain_count = 0;
+    int uncertain_count = 0;
+    double expected = 0.0;
+    /// Start of the symbol's S1..S4 in `values_`; unused when
+    /// uncertain_count is 0.
+    uint32_t offset = 0;
+  };
+  /// S1..S4 of a symbol with no uncertain occurrence: what the event DP
+  /// gives for zero events, shared by every such symbol.
+  static constexpr double kCertainOnly[4] = {1.0, 1.0, 1.0, 0.0};
+
+  std::vector<Symbol> symbols_;
+  std::vector<double> values_;
   int length_ = 0;
 };
 

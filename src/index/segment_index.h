@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "filter/freq_filter.h"
 #include "filter/partition.h"
 #include "filter/probe_set.h"
 #include "index/flat_postings.h"
@@ -54,8 +55,9 @@ struct IndexQueryStats {
 ///
 /// Every buffer the merge scan needs — probe sets, merge cursors, heap,
 /// merged lists, top pointers, α values, the event-DP row, and the output
-/// candidates — lives here and grows to a steady state, after which
-/// repeated queries through the same workspace perform no heap allocation.
+/// candidates — and the query's frequency summary live here and grow to a
+/// steady state, after which repeated queries through the same workspace
+/// perform no heap allocation.
 /// Ownership rule: one workspace per worker thread, created by the driver
 /// (self-join, cross join, SearchMany) next to that thread's other private
 /// state; a workspace must never be shared by concurrent queries.  Results
@@ -81,7 +83,8 @@ struct QueryWorkspace {
 
   // Buffers below are owned by the query path; callers should treat them as
   // opaque except `candidates` (the storage Query's return span points
-  // into) and `candidate_ids` (free driver-level scratch).
+  // into), `candidate_ids` (free driver-level scratch) and `query_summary`
+  // (the searcher rebuilds the query's frequency summary into it).
   FlatProbeSets probes;  // the current bucket's probe sets
   ProbeSetScratch probe_scratch;
   std::vector<const char*> probe_ptrs;   // batched-fingerprint key pointers
@@ -96,6 +99,7 @@ struct QueryWorkspace {
   std::vector<double> dp_scratch;        // event-DP row
   std::vector<IndexCandidate> candidates;
   std::vector<uint32_t> candidate_ids;
+  FrequencySummary query_summary;
 
   /// Observability sink for the probe path.  When non-null, QueryCandidates
   /// records merged-list lengths and candidate α upper bounds into it (see

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <thread>
 
 #include "join/explain.h"
@@ -53,26 +52,36 @@ Result<SimilaritySearcher> SimilaritySearcher::Create(
         ValidateString(collection[i], alphabet, "collection string"));
   }
   SimilaritySearcher searcher(std::move(collection), alphabet, options);
-  int max_length = 0;
-  for (const UncertainString& s : searcher.collection_) {
-    max_length = std::max(max_length, s.length());
-  }
-  searcher.ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
-  searcher.freq_summaries_.reserve(searcher.collection_.size());
-  for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
-    const UncertainString& s = searcher.collection_[id];
-    if (options.use_qgram_filter) {
-      UJOIN_RETURN_IF_ERROR(searcher.index_.Insert(id, s));
+  if (options.use_qgram_filter) {
+    for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
+      UJOIN_RETURN_IF_ERROR(
+          searcher.index_.Insert(id, searcher.collection_[id]));
     }
-    if (options.use_freq_filter) {
-      searcher.freq_summaries_.push_back(FrequencySummary::Build(s, alphabet));
-    }
-    searcher.ids_by_length_[static_cast<size_t>(s.length())].push_back(id);
   }
   // The searcher is read-only from here on: pack the inverted lists into
   // their contiguous arenas once so every later probe scans flat memory.
   searcher.index_.Freeze();
+  searcher.BuildSideStructures();
   return searcher;
+}
+
+void SimilaritySearcher::BuildSideStructures() {
+  int max_length = 0;
+  for (const UncertainString& s : collection_) {
+    max_length = std::max(max_length, s.length());
+  }
+  ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
+  for (uint32_t id = 0; id < collection_.size(); ++id) {
+    const size_t length = static_cast<size_t>(collection_[id].length());
+    ids_by_length_[length].push_back(id);
+  }
+  if (options_.use_freq_filter) {
+    freq_summaries_.resize(collection_.size());
+    for (size_t id = 0; id < collection_.size(); ++id) {
+      FrequencySummary::BuildInto(collection_[id], alphabet_,
+                                  &freq_summaries_[id]);
+    }
+  }
 }
 
 Result<std::vector<SearchHit>> SimilaritySearcher::Search(
@@ -136,10 +145,9 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   internal::StageNanos ns;
   std::vector<SearchHit> hits;
 
-  std::optional<FrequencySummary> query_summary;
   if (options_.use_freq_filter) {
     ScopedNanoTimer timer(&ns.freq);
-    query_summary.emplace(FrequencySummary::Build(query, alphabet_));
+    FrequencySummary::BuildInto(query, alphabet_, &workspace->query_summary);
   }
   JoinOptions effective_options = options_;
   if (force_exact) effective_options.always_verify = true;
@@ -232,7 +240,8 @@ Result<std::vector<SearchHit>> SimilaritySearcher::SearchImpl(
   UJOIN_RETURN_IF_ERROR(internal::RunCascade(
       internal::ProbeCascade{
           .r = query,
-          .r_summary = query_summary.has_value() ? &*query_summary : nullptr,
+          .r_summary =
+              options_.use_freq_filter ? &workspace->query_summary : nullptr,
           .options = effective_options,
           .strings = collection_,
           .ids = {},
@@ -430,20 +439,7 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
     searcher.index_ = std::move(index).value();
     searcher.index_.Freeze();
   }
-  // Rebuild the cheap side structures.
-  int max_length = 0;
-  for (const UncertainString& s : searcher.collection_) {
-    max_length = std::max(max_length, s.length());
-  }
-  searcher.ids_by_length_.resize(static_cast<size_t>(max_length) + 1);
-  searcher.freq_summaries_.reserve(searcher.collection_.size());
-  for (uint32_t id = 0; id < searcher.collection_.size(); ++id) {
-    const UncertainString& s = searcher.collection_[id];
-    if (options.use_freq_filter) {
-      searcher.freq_summaries_.push_back(FrequencySummary::Build(s, alphabet));
-    }
-    searcher.ids_by_length_[static_cast<size_t>(s.length())].push_back(id);
-  }
+  searcher.BuildSideStructures();
   return searcher;
 }
 

@@ -159,6 +159,11 @@ class SimilaritySearcher {
   SimilaritySearcher(std::vector<UncertainString> collection,
                      const Alphabet& alphabet, const JoinOptions& options);
 
+  /// Fills the structures Create and Load derive from the collection: the
+  /// ids by length and, when the frequency filter is on, one frequency
+  /// summary per string.
+  void BuildSideStructures();
+
   Result<std::vector<SearchHit>> SearchImpl(const UncertainString& query,
                                             JoinStats* stats, bool force_exact,
                                             QueryWorkspace* workspace,

@@ -213,9 +213,9 @@ Result<SelfJoinResult> SimilaritySelfJoin(
       const int64_t span_start = trace != nullptr ? trace->NowNs() : 0;
       RunWaveTasks(threads, wave_count, [&](int /*worker*/, uint32_t rank) {
         ScopedTimer timer(&outcomes[rank].stats.freq_time);
-        freq_summaries[wave_start + rank] =
-            FrequencySummary::Build(collection[order[wave_start + rank]],
-                                    alphabet);
+        FrequencySummary::BuildInto(collection[order[wave_start + rank]],
+                                    alphabet,
+                                    &freq_summaries[wave_start + rank]);
       });
       if (trace != nullptr) {
         trace->AddSpan("freq_summaries", span_start,

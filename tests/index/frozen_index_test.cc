@@ -1,17 +1,20 @@
 // Tests for the frozen index layout: QueryWorkspace reuse must be
 // invisible in the results, heap and linear merges must agree bit for bit,
-// and the steady-state probe path must not touch the heap allocator.
+// and the steady-state probe path, the query's frequency summary included,
+// must not touch the heap allocator.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "filter/freq_filter.h"
 #include "index/segment_index.h"
 #include "join/join_stats.h"
 #include "obs/flight_recorder.h"
@@ -515,6 +518,57 @@ TEST(FrozenIndexTest, SteadyStateQueryDoesNotAllocate) {
   EXPECT_EQ(counted_size, warm_size);
   EXPECT_EQ(allocations, 0u)
       << "flight-event recording must not allocate on the probe path";
+}
+
+// Acceptance gate for the query side of the frequency filter: once the
+// workspace's summary has grown to fit, two names queries alternating
+// through it rebuild their summaries without allocating, and each rebuild
+// equals a fresh Build bit for bit.
+TEST(FrozenIndexTest, QuerySummaryRebuildDoesNotAllocate) {
+  const Alphabet names = Alphabet::Names();
+  Rng rng(25);
+  testing::RandomStringOptions opt;
+  opt.min_length = 10;
+  opt.max_length = 35;
+  opt.theta = 0.2;
+  const UncertainString a = testing::RandomUncertainString(names, opt, rng);
+  const UncertainString b = testing::RandomUncertainString(names, opt, rng);
+  ASSERT_FALSE(a.IsDeterministic());
+  ASSERT_FALSE(b.IsDeterministic());
+
+  QueryWorkspace workspace;
+  FrequencySummary& summary = workspace.query_summary;
+  for (int i = 0; i < 2; ++i) {
+    FrequencySummary::BuildInto(a, names, &summary);
+    FrequencySummary::BuildInto(b, names, &summary);
+  }
+  size_t allocations;
+  {
+    CountAllocations counter;
+    FrequencySummary::BuildInto(a, names, &summary);
+    FrequencySummary::BuildInto(b, names, &summary);
+    allocations = counter.count();
+  }
+  EXPECT_EQ(allocations, 0u)
+      << "rebuilding a query summary in a warm workspace must not allocate";
+
+  const FrequencySummary fresh = FrequencySummary::Build(b, names);
+  ASSERT_EQ(summary.length(), fresh.length());
+  ASSERT_EQ(summary.alphabet_size(), fresh.alphabet_size());
+  const auto same = [](std::span<const double> x, std::span<const double> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  for (int c = 0; c < names.size(); ++c) {
+    const CharFrequencySummary got = summary.ForSymbol(c);
+    const CharFrequencySummary want = fresh.ForSymbol(c);
+    EXPECT_EQ(got.certain_count, want.certain_count) << "symbol " << c;
+    EXPECT_EQ(got.uncertain_count, want.uncertain_count) << "symbol " << c;
+    EXPECT_EQ(got.expected, want.expected) << "symbol " << c;
+    EXPECT_TRUE(same(got.pmf, want.pmf)) << "symbol " << c;
+    EXPECT_TRUE(same(got.tail, want.tail)) << "symbol " << c;
+    EXPECT_TRUE(same(got.scaled_tail, want.scaled_tail)) << "symbol " << c;
+    EXPECT_TRUE(same(got.scaled_head, want.scaled_head)) << "symbol " << c;
+  }
 }
 
 }  // namespace

@@ -39,4 +39,9 @@ void DumpTemporary() {
   }
 }
 
+// The body on the header's line must not be read as part of the range.
+void TouchAll(const std::unordered_map<int, int>& seen) {
+  for (const auto& kv : seen) { (void)kv; }  // flagged: unordered-iteration: one-line range-for
+}
+
 }  // namespace ujoin

@@ -28,6 +28,7 @@ class PairCollector {
     for (int id : id_list_) {  // vector: insertion order, deterministic
       std::printf("%d\n", id);
     }
+    for (const auto& kv : sorted_counts_) { (void)kv; }  // one line, ordered
   }
 
  private:

@@ -70,8 +70,7 @@ echo "==> [10/14] CLI smoke (run report + trace schemas, verification contract)"
 bash tools/cli_smoke.sh build
 
 echo "==> [11/14] zero-allocation and overhead gates with recording on"
-./build/tests/frozen_index_test \
-  --gtest_filter='FrozenIndexTest.SteadyStateQueryDoesNotAllocate'
+./build/tests/frozen_index_test --gtest_filter='FrozenIndexTest.*DoesNotAllocate'
 # Smoke gate only: at this tiny scale a 1-CPU box needs a wide margin and
 # extra reps for a stable minimum.  The authoritative 2% budget is the
 # bench's own default gate at full scale (see DESIGN.md "Observability").

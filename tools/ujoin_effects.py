@@ -607,9 +607,11 @@ _UNORDERED_DECL_RE = re.compile(r"unordered_(?:multi)?(?:map|set)\s*<")
 _UNORDERED_NAME_RE = re.compile(
     r"unordered_(?:multi)?(?:map|set)\s*<[^;{}]*>(?:\s*[&*])?\s+(\w+)"
     r"\s*[;={(,)]")
-# Range-for: `for ( decl : range-expr )`.  `[^;]` keeps classic
-# `for (init; cond; step)` loops from matching.
-_RANGE_FOR_SPLIT_RE = re.compile(r"for\s*\(([^;]*?)(?<!:):(?!:)([^;]*)\)")
+# Range-for: `for ( decl : range-expr )`, the header read up to its own
+# closing parenthesis, so a body on the same line is not part of the range.
+# A `;` in the header marks a classic `for (init; cond; step)` loop.
+_FOR_HEADER_RE = re.compile(r"\bfor\s*\(")
+_RANGE_FOR_COLON_RE = re.compile(r"(?<!:):(?!:)")
 _BEGIN_CALL_RE = re.compile(r"([\w.\->]+)\s*(?:\.|->)\s*c?begin\s*\(")
 
 
@@ -619,12 +621,29 @@ def _base_identifier(expr: str) -> str:
     return re.split(r"\.|->", m.group(1))[-1] if m else ""
 
 
+def _range_for_expr(line: str) -> str | None:
+    """The range expression of the first range-for header on `line` whose
+    parentheses close on it; None if there is none."""
+    for m in _FOR_HEADER_RE.finditer(line):
+        depth = 1
+        end = m.end()
+        while end < len(line) and depth > 0:
+            depth += {"(": 1, ")": -1}.get(line[end], 0)
+            end += 1
+        if depth > 0:
+            return None
+        header = line[m.end():end - 1]
+        colon = _RANGE_FOR_COLON_RE.search(header)
+        if ";" not in header and colon:
+            return header[colon.end():]
+    return None
+
+
 def _unordered_iteration(line: str, unordered_names: set[str]) -> str | None:
     """Describes an iteration over an unordered container on `line`, whose
     file declares the containers `unordered_names`; None if there is none."""
-    m = _RANGE_FOR_SPLIT_RE.search(line)
-    if m:
-        range_expr = m.group(2)
+    range_expr = _range_for_expr(line)
+    if range_expr is not None:
         if _UNORDERED_DECL_RE.search(range_expr):
             return "range-for over an unordered temporary"
         base = _base_identifier(range_expr)
