@@ -1,4 +1,4 @@
-// Thread-scaling of the wave-parallel self-join: runs the default datagen
+// Thread-scaling of the parallel self-join: runs the default datagen
 // workload at 1/2/4/8 threads, reports wall time and speedup over the
 // single-thread run, and verifies that every configuration returns the
 // identical pair list (ids, probabilities, exactness flags).

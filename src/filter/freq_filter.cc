@@ -9,20 +9,6 @@
 
 namespace ujoin {
 
-double CharFrequencySummary::ExpectedExcessOver(int a) const {
-  const int u = a - certain_count;
-  if (u < 0) return expected - a;  // every world has f >= certain_count > a
-  if (u >= uncertain_count) return 0.0;
-  return scaled_tail[static_cast<size_t>(u) + 1];
-}
-
-double CharFrequencySummary::ExpectedDeficitBelow(int a) const {
-  const int u = a - certain_count;
-  if (u <= 0) return 0.0;  // f >= certain_count >= a in every world
-  if (u > uncertain_count) return a - expected;
-  return scaled_head[static_cast<size_t>(u)];
-}
-
 FrequencySummary FrequencySummary::Build(const UncertainString& s,
                                          const Alphabet& alphabet) {
   FrequencySummary out;
@@ -52,13 +38,13 @@ void FrequencySummary::BuildInto(const UncertainString& s,
       }
     }
   }
-  // Lay out S1..S4 for the symbols with uncertain occurrences, each pmf
+  // Lay out S1 and S4 for the symbols with uncertain occurrences, each pmf
   // starting as the zero-event distribution (1, 0, ..., 0).
   size_t total = 0;
   for (Symbol& h : symbols) {
     if (h.uncertain_count == 0) continue;
     h.offset = static_cast<uint32_t>(total);
-    total += 4 * (static_cast<size_t>(h.uncertain_count) + 1);
+    total += 2 * (static_cast<size_t>(h.uncertain_count) + 1);
   }
   UJOIN_CHECK(total <= UINT32_MAX);
   std::vector<double>& values = out->values_;
@@ -84,24 +70,16 @@ void FrequencySummary::BuildInto(const UncertainString& s,
     }
     const size_t n = static_cast<size_t>(h.uncertain_count) + 1;
     double* const pmf = &values[h.offset];
-    double* const tail = pmf + n;
-    double* const scaled_tail = tail + n;
-    double* const scaled_head = scaled_tail + n;
-    tail[n - 1] = pmf[n - 1];
-    scaled_tail[n - 1] = pmf[n - 1];
-    for (size_t x = n - 1; x-- > 0;) {
-      tail[x] = tail[x + 1] + pmf[x];
-      scaled_tail[x] = scaled_tail[x + 1] + tail[x];
-    }
+    double* const scaled_head = pmf + n;
     double head = pmf[0];  // Σ_{y <= x-1} pmf[y] while filling x
     for (size_t x = 1; x < n; ++x) {
       scaled_head[x] = scaled_head[x - 1] + head;
       head += pmf[x];
     }
-    // Σ y·pmf[y] via the 4-slot dot kernel.  The tail/scaled_tail/scaled_head
-    // scans above are prefix sums: each element depends on the previous
-    // one; the fold-ordered frequency-distance math is the dot products
-    // consuming these arrays (here and in ExpectedPositivePart).
+    // Σ y·pmf[y] via the 4-slot dot kernel.  The scaled_head scan above is
+    // a prefix sum: each element depends on the previous one; the
+    // fold-ordered frequency-distance math is the dot products consuming
+    // these arrays (here and in ExpectedPositivePart).
     h.expected = h.certain_count + simd::IotaDotSlots(pmf + 1, 1, n - 1);
   }
 }
@@ -118,8 +96,8 @@ namespace {
 inline double PositivePartOverSupportOf(const CharFrequencySummary& a,
                                         const CharFrequencySummary& b) {
   // E[(a-b)+] = Σ_x Pr(f_a = certain_a + x) · E[(certain_a + x - f_b)+].
-  // Split by which branch of ExpectedDeficitBelow(certain_a + x) applies
-  // (u = certain_a + x - certain_b):
+  // Split by where c = certain_a + x falls against f_b's support
+  // (u = c - certain_b):
   //   u <= 0                 -> deficit 0, no contribution;
   //   1 <= u <= uncertain_b  -> pmf[x] · scaled_head[u], one contiguous dot
   //                             product over the S-prefix array (kernel);

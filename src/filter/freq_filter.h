@@ -18,39 +18,32 @@ namespace ujoin {
 /// The symbol occurs at `certain_count` positions with probability 1 (f^c)
 /// and may occur at `uncertain_count` further positions (f^u); its total
 /// count is f^c plus a Poisson-binomial variable over the uncertain
-/// positions.  The four arrays, each f^u + 1 long, are the paper's S1..S4:
+/// positions.  The two arrays, each f^u + 1 long, are the paper's S1 and
+/// S4:
 ///   pmf[x]         = Pr(x uncertain occurrences)                     (S1)
-///   tail[x]        = Pr(at least x uncertain occurrences)            (S2)
-///   scaled_tail[x] = Σ_{y>=x} (y - x + 1) · pmf[y]                   (S3)
 ///   scaled_head[x] = Σ_{y<=x} (x - y) · pmf[y]                       (S4)
-/// All are O(f^u) space and built in O((f^u)²) time (pmf) + O(f^u) (rest).
-/// A symbol with no uncertain occurrence reads {1}, {1}, {1}, {0}.
+/// Both are O(f^u) space and built in O((f^u)²) time (pmf) + O(f^u) (S4).
+/// E[pD] and E[nD] need only S1·S4 dot products (ExpectedPositivePart), so
+/// the paper's S2 and S3 are not kept.  A symbol with no uncertain
+/// occurrence reads {1}, {0}.
 struct CharFrequencySummary {
   int certain_count = 0;
   int uncertain_count = 0;
   double expected = 0.0;  ///< E[f] = f^c + Σ y · pmf[y]
   std::span<const double> pmf;
-  std::span<const double> tail;
-  std::span<const double> scaled_tail;
   std::span<const double> scaled_head;
 
   int max_count() const { return certain_count + uncertain_count; }
-
-  /// E[(f - a)+]: expected surplus of this symbol's count over `a`.
-  double ExpectedExcessOver(int a) const;
-
-  /// E[(a - f)+]: expected deficit of this symbol's count below `a`.
-  double ExpectedDeficitBelow(int a) const;
 };
 
 /// \brief Per-string frequency side-structure kept in the join index so the
 /// frequency filter runs in O(σ · θ · (|R| + |S|)) per candidate pair.
 ///
 /// Two blocks hold it: one header per alphabet symbol (f^c, f^u, E[f] and
-/// an offset), and one array with the S1..S4 values of the symbols that
-/// have uncertain occurrences, each laid out pmf | tail | scaled_tail |
-/// scaled_head.  A string's summary therefore costs what its uncertain
-/// content needs, not four arrays per alphabet symbol.
+/// an offset), and one array with the S1 and S4 values of the symbols that
+/// have uncertain occurrences, each laid out pmf | scaled_head.  A string's
+/// summary therefore costs what its uncertain content needs, not two arrays
+/// per alphabet symbol.
 class FrequencySummary {
  public:
   /// Builds summaries for every symbol of `alphabet` appearing in `s`.
@@ -71,10 +64,8 @@ class FrequencySummary {
     const double* block =
         h.uncertain_count > 0 ? values_.data() + h.offset : kCertainOnly;
     const size_t n = static_cast<size_t>(h.uncertain_count) + 1;
-    return CharFrequencySummary{h.certain_count,  h.uncertain_count,
-                                h.expected,       {block, n},
-                                {block + n, n},   {block + 2 * n, n},
-                                {block + 3 * n, n}};
+    return CharFrequencySummary{h.certain_count, h.uncertain_count,
+                                h.expected, {block, n}, {block + n, n}};
   }
 
   /// Bytes of the two blocks (their capacity).
@@ -85,13 +76,13 @@ class FrequencySummary {
     int certain_count = 0;
     int uncertain_count = 0;
     double expected = 0.0;
-    /// Start of the symbol's S1..S4 in `values_`; unused when
+    /// Start of the symbol's S1 and S4 in `values_`; unused when
     /// uncertain_count is 0.
     uint32_t offset = 0;
   };
-  /// S1..S4 of a symbol with no uncertain occurrence: what the event DP
+  /// S1 and S4 of a symbol with no uncertain occurrence: what the event DP
   /// gives for zero events, shared by every such symbol.
-  static constexpr double kCertainOnly[4] = {1.0, 1.0, 1.0, 0.0};
+  static constexpr double kCertainOnly[2] = {1.0, 0.0};
 
   std::vector<Symbol> symbols_;
   std::vector<double> values_;

@@ -117,14 +117,9 @@ FlatPostings::ListView FlatPostings::FindWithFingerprint(
 
 void FlatPostings::Freeze() {
   if (delta_postings_ == 0) return;
-  std::vector<uint32_t> order(entries_.size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t a, uint32_t b) { return KeyAt(a) < KeyAt(b); });
   std::vector<Posting> packed;
   packed.reserve(static_cast<size_t>(num_postings_));
-  for (uint32_t e : order) {
-    Entry& entry = entries_[e];
+  for (Entry& entry : entries_) {
     const size_t begin = packed.size();
     packed.insert(packed.end(), arena_.begin() + entry.arena_begin,
                   arena_.begin() + entry.arena_begin + entry.arena_count);

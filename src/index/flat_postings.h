@@ -40,15 +40,17 @@ using FingerprintFn = uint64_t (*)(const void* data, size_t len);
 /// substring into a `std::string` just to hash it.
 ///
 /// Postings live in two tiers.  `Freeze()` packs everything accumulated so
-/// far into one contiguous arena, grouped by key in ascending key order (a
-/// deterministic layout, independent of insertion order and hash seeds).
+/// far into one contiguous arena, grouped by key in entry order (the order
+/// keys were first added).  Nothing reads the arena's layout: lookups go
+/// through the entries, `ForEachSorted` (serialization) sorts keys itself,
+/// and `MemoryBytes` counts sizes.
 /// Postings added after the last freeze sit in small per-key delta lists.
 /// Ids are inserted in ascending order (the index drivers guarantee this),
 /// so a key's logical list is its frozen extent followed by its delta
 /// extent — already id-sorted, exposed as the two spans of a ListView.
-/// Steady-state probing therefore never requires a re-pack: the wave
-/// self-join queries an unfrozen index (all postings in deltas), while the
-/// searcher freezes once after build and probes the arena.
+/// Steady-state probing therefore never requires a re-pack: the self-join
+/// queries an unfrozen index (all postings in deltas), while the searcher
+/// freezes once after build and probes the arena.
 ///
 /// Thread safety: `Find` and all const accessors are safe to call
 /// concurrently as long as no `Add`/`Freeze` runs at the same time.
@@ -95,7 +97,7 @@ class FlatPostings {
   }
 
   /// Packs all postings (frozen extents + deltas) into one contiguous
-  /// arena grouped by key in ascending key order, then clears the deltas.
+  /// arena grouped by key in entry order, then clears the deltas.
   /// Idempotent; cheap when nothing changed since the last freeze.
   void Freeze();
 

@@ -390,28 +390,6 @@ std::span<const IndexCandidate> LengthBucketIndex::QueryCandidates(
   return ws->candidates;
 }
 
-std::vector<IndexCandidate> LengthBucketIndex::QueryCandidates(
-    const std::vector<std::vector<ProbeSubstring>>& probe_sets,
-    const std::vector<bool>& wildcard_segments, int k, double tau,
-    IndexQueryStats* stats, uint32_t id_limit) const {
-  const int m = num_segments();
-  UJOIN_CHECK(static_cast<int>(probe_sets.size()) == m);
-  UJOIN_CHECK(static_cast<int>(wildcard_segments.size()) == m);
-  QueryWorkspace ws;
-  ws.probes.Reset(m);
-  for (int x = 0; x < m; ++x) {
-    if (!wildcard_segments[static_cast<size_t>(x)]) {
-      for (const ProbeSubstring& probe : probe_sets[static_cast<size_t>(x)]) {
-        ws.probes.Append(probe.text, probe.prob);
-      }
-    }
-    ws.probes.FinishSegment(wildcard_segments[static_cast<size_t>(x)]);
-  }
-  const std::span<const IndexCandidate> found =
-      QueryCandidates(ws.probes, k, tau, &ws, stats, id_limit);
-  return std::vector<IndexCandidate>(found.begin(), found.end());
-}
-
 size_t LengthBucketIndex::MemoryUsage() const {
   size_t total = ids_.size() * sizeof(uint32_t);
   for (const FlatPostings& list : lists_) total += list.MemoryBytes();
@@ -451,7 +429,18 @@ void LengthBucketIndex::Serialize(BinaryWriter* writer) const {
 }
 
 Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
-                                                         int k, int q) {
+                                                         int k, int q,
+                                                         uint64_t id_limit) {
+  // Nothing is sized from the image's counts: a short image fails a read.
+  const auto read_id = [&]() -> Result<uint32_t> {
+    Result<uint32_t> id = reader->ReadU32();
+    if (id.ok() && *id >= id_limit) {
+      return Status::InvalidArgument("corrupt index: id " +
+                                     std::to_string(*id) +
+                                     " is outside the collection");
+    }
+    return id;
+  };
   Result<int32_t> length = reader->ReadI32();
   if (!length.ok()) return length.status();
   if (*length < 1) {
@@ -461,9 +450,8 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
   LengthBucketIndex bucket(*length, k, q);
   Result<uint64_t> num_ids = reader->ReadU64();
   if (!num_ids.ok()) return num_ids.status();
-  bucket.ids_.reserve(*num_ids);
   for (uint64_t i = 0; i < *num_ids; ++i) {
-    Result<uint32_t> id = reader->ReadU32();
+    Result<uint32_t> id = read_id();
     if (!id.ok()) return id.status();
     bucket.ids_.push_back(*id);
   }
@@ -489,7 +477,7 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
       Result<uint64_t> num_postings = reader->ReadU64();
       if (!num_postings.ok()) return num_postings.status();
       for (uint64_t p = 0; p < *num_postings; ++p) {
-        Result<uint32_t> id = reader->ReadU32();
+        Result<uint32_t> id = read_id();
         if (!id.ok()) return id.status();
         Result<double> prob = reader->ReadDouble();
         if (!prob.ok()) return prob.status();
@@ -499,7 +487,7 @@ Result<LengthBucketIndex> LengthBucketIndex::Deserialize(BinaryReader* reader,
     Result<uint64_t> num_wildcards = reader->ReadU64();
     if (!num_wildcards.ok()) return num_wildcards.status();
     for (uint64_t w = 0; w < *num_wildcards; ++w) {
-      Result<uint32_t> id = reader->ReadU32();
+      Result<uint32_t> id = read_id();
       if (!id.ok()) return id.status();
       bucket.wildcard_ids_[x].push_back(*id);
     }
@@ -513,15 +501,16 @@ InvertedSegmentIndex::InvertedSegmentIndex(int k, int q,
   UJOIN_CHECK(k >= 0 && q >= 1);
 }
 
+void InvertedSegmentIndex::AddBucket(int length) {
+  buckets_.try_emplace(length, length, k_, q_);
+}
+
 Status InvertedSegmentIndex::Insert(uint32_t id, const UncertainString& s) {
   if (s.empty()) {
     return Status::InvalidArgument("cannot index an empty string");
   }
-  auto it = buckets_.find(s.length());
-  if (it == buckets_.end()) {
-    it = buckets_.emplace(s.length(), LengthBucketIndex(s.length(), k_, q_))
-             .first;
-  }
+  // try_emplace leaves the map untouched when the bucket exists.
+  const auto it = buckets_.try_emplace(s.length(), s.length(), k_, q_).first;
   return it->second.Insert(id, s, probe_options_.max_instances_per_window);
 }
 
@@ -585,7 +574,7 @@ void InvertedSegmentIndex::Serialize(BinaryWriter* writer) const {
 }
 
 Result<InvertedSegmentIndex> InvertedSegmentIndex::Deserialize(
-    BinaryReader* reader, ProbeSetOptions probe_options) {
+    BinaryReader* reader, ProbeSetOptions probe_options, uint64_t id_limit) {
   Result<int32_t> k = reader->ReadI32();
   if (!k.ok()) return k.status();
   Result<int32_t> q = reader->ReadI32();
@@ -598,7 +587,7 @@ Result<InvertedSegmentIndex> InvertedSegmentIndex::Deserialize(
   if (!num_buckets.ok()) return num_buckets.status();
   for (uint64_t b = 0; b < *num_buckets; ++b) {
     Result<LengthBucketIndex> bucket =
-        LengthBucketIndex::Deserialize(reader, *k, *q);
+        LengthBucketIndex::Deserialize(reader, *k, *q, id_limit);
     if (!bucket.ok()) return bucket.status();
     const int length = bucket->length();
     if (!index.buckets_.emplace(length, std::move(bucket).value()).second) {

@@ -163,8 +163,8 @@ class LengthBucketIndex {
   ///
   /// Only indexed ids < `id_limit` are considered; higher ids are skipped
   /// before any counter is touched, so results and stats are exactly those
-  /// of an index that stops at `id_limit`.  The wave-parallel self-join uses
-  /// this to probe an index that already contains the probe's own wave.
+  /// of an index that stops at `id_limit`.  The self-join uses this to
+  /// probe an index that already holds the probe's whole length group.
   ///
   /// The returned span points into `workspace->candidates` and is valid
   /// until the workspace's next use.  Thread safety: const and safe to call
@@ -173,14 +173,6 @@ class LengthBucketIndex {
   std::span<const IndexCandidate> QueryCandidates(
       const FlatProbeSets& probes, int k, double tau,
       QueryWorkspace* workspace, IndexQueryStats* stats = nullptr,
-      uint32_t id_limit = UINT32_MAX) const;
-
-  /// Convenience overload taking the probe sets in their materialized form;
-  /// allocates a workspace per call (tests and one-off callers only).
-  std::vector<IndexCandidate> QueryCandidates(
-      const std::vector<std::vector<ProbeSubstring>>& probe_sets,
-      const std::vector<bool>& wildcard_segments, int k, double tau,
-      IndexQueryStats* stats = nullptr,
       uint32_t id_limit = UINT32_MAX) const;
 
   /// Heap footprint of the flat inverted lists, in bytes.  Computed from
@@ -193,10 +185,11 @@ class LengthBucketIndex {
   /// Appends this bucket to `writer` / restores it (k and q must match the
   /// values the bucket was built with; the partition is recomputed).
   /// Keys are emitted in sorted order, so serialized bytes are a pure
-  /// function of the indexed content.
+  /// function of the indexed content.  Deserialize rejects any id (indexed,
+  /// posting or wildcard) that is not below `id_limit`.
   void Serialize(BinaryWriter* writer) const;
   static Result<LengthBucketIndex> Deserialize(BinaryReader* reader, int k,
-                                               int q);
+                                               int q, uint64_t id_limit);
 
  private:
   int length_;
@@ -212,20 +205,27 @@ class LengthBucketIndex {
 /// Usage in a join: strings are visited in ascending length order; for the
 /// current string R the buckets of length |R|-k .. |R| are queried, then R
 /// is inserted into its own bucket, so every pair is enumerated exactly
-/// once.  The wave-parallel driver instead inserts a whole wave up front and
-/// restricts each probe with `id_limit`, which yields the same pair set.
+/// once.  The self-join instead inserts a whole length group before probing
+/// it and restricts each probe with `id_limit`, which yields the same pair
+/// set.
 ///
 /// Thread safety: the query path (Query, bucket, MemoryUsage, Serialize) is
 /// const and touches no mutable state, so any number of threads may query
-/// concurrently — each with its own QueryWorkspace — provided the index is
-/// not being mutated (no concurrent Insert/Freeze).  Drivers must leave
-/// the index unchanged for the duration of a concurrent probe phase.
+/// concurrently — each with its own QueryWorkspace — while no Insert or
+/// Freeze runs.  One exception: once every bucket exists (AddBucket), an
+/// Insert of length L may run concurrently with queries of lengths below L.
 class InvertedSegmentIndex {
  public:
   InvertedSegmentIndex(int k, int q, ProbeSetOptions probe_options = {});
 
+  /// Creates the empty bucket for `length` if it is missing (it answers
+  /// queries like an absent one).  Once it exists, an Insert of that length
+  /// leaves the bucket map unchanged and may run beside shorter queries.
+  void AddBucket(int length);
+
   /// Indexes `s` under `id`; ids must be inserted in increasing order.
-  /// Not thread-safe: must never run concurrently with Query or Insert.
+  /// Not thread-safe: must never run concurrently with another Insert, or
+  /// with a Query, except as AddBucket allows.
   Status Insert(uint32_t id, const UncertainString& s);
 
   /// Packs every bucket's postings into contiguous arenas.  Call once after
@@ -281,9 +281,12 @@ class InvertedSegmentIndex {
   /// Serialization of the whole index (k, q and every bucket).  The probe
   /// options are not persisted — supply them when deserializing.  Output
   /// bytes depend only on the indexed content (keys are written sorted).
+  /// Deserialize rejects any id that is not below `id_limit`, the size of
+  /// the collection the index belongs to.
   void Serialize(BinaryWriter* writer) const;
   static Result<InvertedSegmentIndex> Deserialize(
-      BinaryReader* reader, ProbeSetOptions probe_options = {});
+      BinaryReader* reader, ProbeSetOptions probe_options = {},
+      uint64_t id_limit = UINT32_MAX);
 
  private:
   int k_;

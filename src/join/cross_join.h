@@ -20,8 +20,8 @@ struct CrossJoinResult {
 /// The smaller collection is indexed once by SimilaritySearcher::Create and
 /// the other collection's strings probe it through SearchMany, whose
 /// queries run the same filter-and-verify cascade as the self-join
-/// (join/probe_cascade.h).  The two drivers share that cascade but not the
-/// driver code — candidate generation, scheduling and folding differ — so
+/// (join/probe_cascade.h).  The two drivers share that cascade and the
+/// ordered pool (join/ordered_pool.h) but not candidate generation, so
 /// self_cross_differential_test.cc can check one against the other;
 /// ExhaustiveSelfJoin stays the independent, filter-free reference.
 Result<CrossJoinResult> SimilarityJoin(

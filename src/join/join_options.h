@@ -13,7 +13,7 @@ class Recorder;
 class TraceRecorder;
 }  // namespace obs
 
-/// \brief Snapshot handed to JoinOptions::progress_fn at wave boundaries.
+/// \brief Snapshot handed to JoinOptions::progress_fn as a run advances.
 struct JoinProgress {
   uint64_t processed;      ///< strings (or probes/queries) completed so far
   uint64_t total;          ///< total strings (or probes/queries) in the run
@@ -48,10 +48,6 @@ struct SearchLimits {
   /// Per-query wall-clock deadline in nanoseconds, checked before each
   /// candidate verification.  0 = none.
   int64_t deadline_ns = 0;
-
-  bool Unlimited() const {
-    return max_verify_worlds <= 0 && deadline_ns <= 0;
-  }
 };
 
 /// \brief Parameters of a (k, τ) similarity join or search.
@@ -95,43 +91,33 @@ struct JoinOptions {
   /// are a property of the serving policy, not of the index.
   SearchLimits limits;
 
-  /// Worker threads for the parallel drivers: the wave-batched
-  /// SimilaritySelfJoin, the two-collection SimilarityJoin, and
-  /// SimilaritySearcher::SearchMany.  <= 0 picks the hardware concurrency.
-  /// All drivers return identical results for every thread count.
+  /// Worker threads for the parallel drivers: SimilaritySelfJoin, the
+  /// two-collection SimilarityJoin, and SimilaritySearcher::SearchMany.
+  /// <= 0 picks the hardware concurrency.  With one thread everything runs
+  /// on the calling thread; with more, `threads` workers run the probes
+  /// while the calling thread feeds and folds them.  All drivers return
+  /// identical results for every thread count.
   int threads = 1;
-
-  /// Wave size of the parallel self-join: the length-sorted scan is cut
-  /// into waves of this many strings; a wave is inserted into the inverted
-  /// index sequentially, then all of its strings probe the index, which
-  /// stays unchanged until the next wave, concurrently (each probe only
-  /// sees ids smaller than its own, so every unordered pair is examined
-  /// exactly once, on its higher-id side).
-  /// Larger waves expose more parallelism; smaller waves keep the probe
-  /// window closer to the paper's insert-after-every-string scan.  The
-  /// result set is identical for every wave size.  <= 0 picks an adaptive
-  /// default (max(64, 8 × threads)).
-  int wave_size = 0;
 
   // --- observability (src/obs/; DESIGN.md "Observability") --------------
   // All sinks are borrowed, never owned: they must outlive every join or
   // search call that sees this options value, and null (the default) means
   // recording is off — the instrumentation then costs one pointer test.
 
-  /// Metrics sink.  When set, the drivers give each worker rank a private
-  /// Recorder and fold them into *metrics in the same deterministic
-  /// (wave, rank) order as JoinStats::Merge, so the merged counters and
-  /// work-derived histograms are identical for every thread count.
+  /// Metrics sink.  When set, the drivers give each probe a private
+  /// Recorder and fold them into *metrics in probe order, as JoinStats::Merge
+  /// folds the stats, so the merged counters and work-derived histograms
+  /// are identical for every thread count.
   obs::Recorder* metrics = nullptr;
 
   /// Trace sink.  When set, the drivers emit per-stage spans (index build,
-  /// wave phases, probes, filter/verify stages) for Chrome trace-event
+  /// frequency summaries, probes, filter/verify stages) for Chrome trace-event
   /// output.  Span collection allocates; it is a debugging mode and is not
   /// covered by the steady-state zero-allocation guarantee.
   obs::TraceRecorder* trace = nullptr;
 
-  /// Progress callback, invoked from the driver thread at wave boundaries
-  /// (self-join) or batch completion points.  A plain function pointer plus
+  /// Progress callback, invoked on the calling thread every 64 folded
+  /// probes and at the end (self-join).  A plain function pointer plus
   /// context pointer — not std::function — so copying JoinOptions never
   /// allocates.
   void (*progress_fn)(const JoinProgress&, void* user) = nullptr;

@@ -94,9 +94,9 @@ struct JoinStats {
 
   /// Accumulates `other` into this: pair-flow counters and per-stage times
   /// sum, `peak_index_memory` takes the max, and the nested index/verify
-  /// work counters sum.  The parallel join drivers give every worker a
-  /// thread-local JoinStats and fold them into the run total with this, in
-  /// a fixed (wave, rank) order so merged counters are deterministic.
+  /// work counters sum.  The parallel join drivers give every probe its own
+  /// JoinStats and fold them into the run total with this, in probe order,
+  /// so merged counters are deterministic.
   void Merge(const JoinStats& other);
 
   /// Multi-line human-readable dump (used by examples and benches).

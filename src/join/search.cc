@@ -1,10 +1,9 @@
 #include "join/search.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "join/explain.h"
+#include "join/ordered_pool.h"
 #include "join/probe_cascade.h"
 #include "obs/metrics.h"
 #include "obs/obs_macros.h"
@@ -413,10 +412,10 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
     return Status::InvalidArgument("corrupt searcher: bad verify method");
   }
 
+  // Nothing is sized from the image's count: a short image fails a read.
   Result<uint64_t> count = reader.ReadU64();
   if (!count.ok()) return count.status();
   std::vector<UncertainString> collection;
-  collection.reserve(*count);
   for (uint64_t i = 0; i < *count; ++i) {
     Result<UncertainString> s = DeserializeUncertainString(&reader);
     if (!s.ok()) return s.status();
@@ -427,10 +426,11 @@ Result<SimilaritySearcher> SimilaritySearcher::Load(const std::string& path,
   Result<uint8_t> has_index = reader.ReadU8();
   if (!has_index.ok()) return has_index.status();
 
+  const uint64_t collection_size = collection.size();
   SimilaritySearcher searcher(std::move(collection), alphabet, options);
   if (*has_index != 0) {
-    Result<InvertedSegmentIndex> index =
-        InvertedSegmentIndex::Deserialize(&reader, options.probe);
+    Result<InvertedSegmentIndex> index = InvertedSegmentIndex::Deserialize(
+        &reader, options.probe, /*id_limit=*/collection_size);
     if (!index.ok()) return index.status();
     if (index->k() != options.k || index->q() != options.q) {
       return Status::InvalidArgument(
@@ -448,88 +448,62 @@ Result<std::vector<std::vector<SearchHit>>> SimilaritySearcher::SearchMany(
     JoinStats* stats, obs::Recorder* metrics,
     obs::TraceRecorder* trace_sink, const SearchLimits* limits,
     obs::QueryLog* query_log) const {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(
-      threads, static_cast<int>(std::max<size_t>(queries.size(), 1)));
-  std::vector<Result<std::vector<SearchHit>>> results(
-      queries.size(), Result<std::vector<SearchHit>>(std::vector<SearchHit>{}));
-  // Per-query stats folded in query order below, so the aggregate is the
-  // same for every thread count and work assignment.  The observability
-  // sinks attached to the Create-time options (if any) follow the same
-  // pattern: each query records into a private recorder / span buffer, and
-  // the fold below runs in query order.
-  std::vector<JoinStats> query_stats(queries.size());
+  threads = internal::OrderedPool::Threads(threads, queries.size());
+  // Each query records into its own outcome, and the fold merges outcomes
+  // into the sinks (by default the Create-time ones) in query order, as it
+  // goes, so the aggregates are the same for every thread count.
   obs::Recorder* const run_metrics =
       metrics != nullptr ? metrics : options_.metrics;
   obs::TraceRecorder* const trace =
       trace_sink != nullptr ? trace_sink : options_.trace;
-  std::vector<obs::Recorder> query_metrics(
-      run_metrics != nullptr ? queries.size() : 0);
-  std::vector<obs::SpanCollector> query_spans(
-      trace != nullptr ? queries.size() : 0);
-  const auto run_query = [&](int worker, size_t i,
-                             QueryWorkspace* workspace) {
-    obs::Recorder* const rec =
-        run_metrics != nullptr ? &query_metrics[i] : nullptr;
+  std::vector<QueryWorkspace> workspaces(static_cast<size_t>(threads));
+  std::vector<std::vector<SearchHit>> out(queries.size());
+  const auto run = [&](int worker, uint32_t i,
+                       internal::ProbeOutcome* outcome) {
+    // Query-span sampling depends only on the query index, so sampled
+    // traces are identical for every thread count.  Under a slow-keep
+    // threshold every query collects spans and the fold decides.
     obs::SpanCollector* span_sink = nullptr;
-    // Query-span sampling: the keep/drop decision depends only on the
-    // sampling config and the query index, so sampled traces are identical
-    // for every thread count.  A slow-keep threshold means any query might
-    // need its spans post hoc, so spans are collected for all and the fold
-    // below decides which to keep.
     if (trace != nullptr && (trace->SampleProbe(static_cast<int64_t>(i)) ||
                              trace->slow_keep_ns() > 0)) {
-      query_spans[i] =
+      outcome->spans =
           obs::SpanCollector(trace, static_cast<uint32_t>(worker) + 1);
-      span_sink = &query_spans[i];
+      span_sink = &outcome->spans;
     }
-    results[i] = Search(queries[i], &query_stats[i], workspace, rec,
-                        span_sink, limits);
+    auto hits = Search(queries[i], &outcome->stats,
+                       &workspaces[static_cast<size_t>(worker)],
+                       run_metrics != nullptr ? &outcome->metrics : nullptr,
+                       span_sink, limits);
+    if (hits.ok()) {
+      outcome->hits = std::move(hits).value();
+    } else {
+      outcome->status = hits.status();
+    }
   };
-  if (threads == 1) {
-    QueryWorkspace workspace;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      run_query(/*worker=*/0, i, &workspace);
-    }
-  } else {
-    std::vector<QueryWorkspace> workspaces(static_cast<size_t>(threads));
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t]() {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= queries.size()) return;
-          run_query(t, i, &workspaces[static_cast<size_t>(t)]);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
-  std::vector<std::vector<SearchHit>> out;
-  out.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!results[i].ok()) return results[i].status();
-    out.push_back(std::move(results[i]).value());
-    if (stats != nullptr) stats->Merge(query_stats[i]);
-    if (run_metrics != nullptr) run_metrics->Merge(query_metrics[i]);
+  const auto fold = [&](uint32_t i, internal::ProbeOutcome& outcome) {
+    if (!outcome.status.ok()) return outcome.status;
+    if (stats != nullptr) stats->Merge(outcome.stats);
+    if (run_metrics != nullptr) run_metrics->Merge(outcome.metrics);
     if (query_log != nullptr) {
       query_log->Write(MakeQueryLogRecord(
-          query_stats[i], /*connection=*/0,
+          outcome.stats, /*connection=*/0,
           /*seq=*/static_cast<int64_t>(i) + 1, queries[i].length(),
-          static_cast<int64_t>(out.back().size()), /*error=*/false));
+          static_cast<int64_t>(outcome.hits.size()), /*error=*/false));
     }
     if (trace != nullptr) {
       const bool keep = trace->KeepProbe(
           trace->SampleProbe(static_cast<int64_t>(i)),
-          static_cast<int64_t>(query_stats[i].total_time * 1e9));
+          static_cast<int64_t>(outcome.stats.total_time * 1e9));
       trace->NoteProbe(keep);
-      if (keep) trace->Append(query_spans[i].events());
+      if (keep) trace->Append(outcome.spans.events());
     }
+    out[i] = std::move(outcome.hits);
+    return Status::OK();
+  };
+  {
+    internal::OrderedPool pool(threads, run, fold);
+    pool.Release(static_cast<uint32_t>(queries.size()));
+    UJOIN_RETURN_IF_ERROR(pool.Finish());
   }
   UJOIN_OBS_GAUGE(run_metrics, obs::Gauge::kThreads, threads);
   UJOIN_OBS_GAUGE(run_metrics, obs::Gauge::kCollectionSize,

@@ -98,16 +98,18 @@ class SimilaritySearcher {
                                                 nullptr) const;
 
   /// Answers many queries, optionally in parallel (`threads` <= 0 picks the
-  /// hardware concurrency).  The searcher is immutable after Create, so
-  /// concurrent Search calls are safe; each worker thread owns one
-  /// QueryWorkspace.  Results arrive in query order.  When `stats` is
-  /// non-null, every query's JoinStats are folded into it with
-  /// JoinStats::Merge in query order, so the aggregate is identical for
-  /// every thread count.  Observability sinks follow the same pattern: each
-  /// query records into a private recorder/span buffer and the driver folds
-  /// them into the sinks in query order — same determinism contract as the
-  /// stats.  `metrics`/`trace` default to the sinks attached to the
-  /// Create-time options (JoinOptions::metrics / JoinOptions::trace); pass
+  /// hardware concurrency) on the ordered pool the self-join uses
+  /// (join/ordered_pool.h).  The searcher is immutable after Create, so
+  /// concurrent Search calls are safe; each worker owns one QueryWorkspace.
+  /// Results arrive in query order.  When `stats` is non-null, every
+  /// query's JoinStats are folded into it with JoinStats::Merge in query
+  /// order, as the queries finish, so the aggregate is identical for every
+  /// thread count.  Observability sinks follow the same pattern: each
+  /// query records into a private recorder/span buffer and the calling
+  /// thread folds them into the sinks in query order — same determinism
+  /// contract as the stats.  `metrics`/`trace` default to the sinks
+  /// attached to the Create-time options (JoinOptions::metrics /
+  /// JoinOptions::trace); pass
   /// them explicitly for searchers restored with Load, whose persisted
   /// options carry no sinks.
   /// `limits` follows the Search contract: a non-null value overrides the

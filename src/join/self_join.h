@@ -52,14 +52,13 @@ struct SelfJoinResult {
 /// Filter stages toggle via JoinOptions to form the QFCT/QCT/QFT/FCT
 /// variants of Section 7.
 ///
-/// The scan is wave-parallel: the length-sorted order is cut into waves of
-/// JoinOptions::wave_size strings; a wave is inserted into the index
-/// sequentially, then all of its strings run the probe pipeline concurrently
-/// on JoinOptions::threads workers against the unchanging index, each seeing
+/// The scan is one length-gated pass: the calling thread inserts the
+/// strings in visiting order and releases each length group's probes, once
+/// the group is indexed, to JoinOptions::threads workers; each probe sees
 /// only strings of smaller visiting position.  Results, filter decisions,
-/// and pair-flow counters are identical to the paper's sequential scan for
-/// every wave size and thread count (per-worker buffers are merged in
-/// deterministic (wave, rank) order; see DESIGN.md, "Parallel self-join").
+/// and every counter are identical to the paper's sequential scan for every
+/// thread count (probe outcomes are folded in visiting order; see
+/// DESIGN.md, "Parallel self-join").
 ///
 /// Fails with InvalidArgument when a string is empty or uses symbols
 /// outside `alphabet`.

@@ -16,10 +16,9 @@ namespace {
 // Registry names, in FlightEvent order (the dump's "registry" object and
 // every event's "kind" field spell these).
 constexpr const char* kFlightEventNames[kNumFlightEvents] = {
-    "wave_start",      "wave_end",   "probe_begin", "funnel_stage",
-    "verify_begin",    "query_begin", "query_end",  "batch_boundary",
-    "conn_open",       "conn_close", "conn_idle_close", "serve_query",
-    "stall_captured",
+    "probe_begin",  "funnel_stage", "verify_begin",    "query_begin",
+    "query_end",    "batch_boundary", "conn_open",     "conn_close",
+    "conn_idle_close", "serve_query", "stall_captured",
 };
 
 /// Process-wide logical thread ids, 1-based.  Assigned once per thread on
@@ -202,13 +201,10 @@ void FlightRecorder::RecordEvent(FlightEvent kind, int64_t a, int64_t b) {
   // In-flight block for the watchdog: begin/end events open and close an
   // epoch (odd = in flight); progress events refresh single words.
   switch (kind) {
-    case FlightEvent::kQueryBegin:
-    case FlightEvent::kWaveStart: {
+    case FlightEvent::kQueryBegin: {
       slot.q_begin_ns.store(ts, std::memory_order_relaxed);
-      slot.q_deadline_ns.store(kind == FlightEvent::kQueryBegin ? a : 0,
-                               std::memory_order_relaxed);
-      slot.q_band.store(kind == FlightEvent::kQueryBegin ? b : a,
-                        std::memory_order_relaxed);
+      slot.q_deadline_ns.store(a, std::memory_order_relaxed);
+      slot.q_band.store(b, std::memory_order_relaxed);
       slot.q_verify_worlds.store(0, std::memory_order_relaxed);
       slot.q_funnel_stage.store(-1, std::memory_order_relaxed);
       const int64_t e = slot.q_epoch.load(std::memory_order_relaxed);
@@ -216,8 +212,7 @@ void FlightRecorder::RecordEvent(FlightEvent kind, int64_t a, int64_t b) {
                          std::memory_order_release);
       break;
     }
-    case FlightEvent::kQueryEnd:
-    case FlightEvent::kWaveEnd: {
+    case FlightEvent::kQueryEnd: {
       const int64_t e = slot.q_epoch.load(std::memory_order_relaxed);
       if ((e & 1) != 0) {
         slot.q_epoch.store(e + 1, std::memory_order_release);
@@ -309,7 +304,7 @@ void FlightRecorder::DumpToFd(int fd, const FlightDumpOptions& options) const {
   char buf[kSinkBufBytes];
   int len = 0;
   SinkRaw(fd, buf, &len,
-          "{\"schema\":\"ujoin.flight_record\",\"schema_version\":2,"
+          "{\"schema\":\"ujoin.flight_record\",\"schema_version\":3,"
           "\"reason\":\"");
   SinkRaw(fd, buf, &len, options.reason);
   SinkRaw(fd, buf, &len, "\",\"signal\":");

@@ -12,7 +12,7 @@ namespace obs {
 //
 // An always-on, allocation-free record of what every thread was doing
 // *recently*: fixed-capacity per-thread ring buffers of compact lifecycle
-// events (wave/probe/verify/query/batch/connection transitions), written
+// events (probe/verify/query/batch/connection transitions), written
 // through the UJOIN_OBS_FLIGHT macro (obs_macros.h) from the join pipeline
 // and the serve layer.  Metrics (metrics.h) answer "how much, overall";
 // the flight recorder answers "what was in flight when it died or hung".
@@ -38,11 +38,13 @@ namespace obs {
 // DESIGN.md "Flight recorder and watchdog" and
 // tools/validate.py): per-thread recent events, the event registry
 // snapshot (per-kind totals + drop count), and build info (the
-// compiler).  Version 2 dropped the constant kernel-form key.
+// compiler).  Version 2 dropped the constant kernel-form key; version 3
+// dropped the self-join driver's two batch kinds (each join probe now opens
+// a query_begin/query_end epoch), which renumbered the registry.
 //
 // Ring sizing: kMaxThreadSlots covers the worker crews this repo ever
 // starts (join workers + serve crew + watchdog + main); kEventsPerThread
-// covers several waves or serve batches of lifecycle events.  Storage is
+// covers dozens of probes or serve batches of lifecycle events.  Storage is
 // static (one global recorder, ~200 KiB) so recording needs no setup and
 // the crash handler needs no indirection.
 // ---------------------------------------------------------------------------
@@ -50,18 +52,16 @@ namespace obs {
 /// Event kinds, in registry order.  The dump spells these names; adding a
 /// kind means appending here and one row in kFlightEventNames.
 enum class FlightEvent : int {
-  /// Self-join wave started: a = wave index, b = strings in the wave.
-  kWaveStart = 0,
-  /// Self-join wave finished: a = wave index, b = 0.
-  kWaveEnd,
-  /// One rank's probe task started: a = worker rank, b = global string rank.
-  kProbeBegin,
+  /// One self-join probe started, right after its kQueryBegin:
+  /// a = worker, b = visiting position of the probe string.
+  kProbeBegin = 0,
   /// Funnel stage entered: a = stage (obs::FunnelStage), b = candidates.
   kFunnelStage,
   /// Trie verification started: a = saturating possible-world estimate
   /// (0 when no metrics recorder is attached), b = 0.
   kVerifyBegin,
-  /// Query started: a = deadline_ns (0 = none), b = length band.
+  /// Query (or self-join probe) started: a = deadline_ns (0 = none),
+  /// b = length band.
   kQueryBegin,
   /// Query finished: a = hits, b = 1 on error else 0.
   kQueryEnd,
@@ -82,20 +82,20 @@ enum class FlightEvent : int {
   /// b = elapsed ns at capture.
   kStallCaptured,
 };
-inline constexpr int kNumFlightEvents = 13;
+inline constexpr int kNumFlightEvents = 11;
 
-/// The registry name of `kind` ("wave_start", ...).
+/// The registry name of `kind` ("probe_begin", ...).
 const char* FlightEventName(FlightEvent kind);
 
 /// A seqlock-consistent snapshot of one thread's in-flight work, read by
-/// the watchdog.  Valid (in_flight == true) only between a begin event
-/// (kQueryBegin / kWaveStart) and its matching end.
+/// the watchdog.  Valid (in_flight == true) only between a kQueryBegin and
+/// its matching kQueryEnd.
 struct InFlightSnapshot {
   bool in_flight = false;
   int64_t epoch = 0;          ///< odd while in flight; stamps the capture
   int64_t begin_ns = 0;       ///< recorder clock at the begin event
   int64_t deadline_ns = 0;    ///< per-query deadline, 0 = none
-  int64_t band = 0;           ///< length band (queries) or wave index
+  int64_t band = 0;           ///< length band of the query or probe
   int64_t connection = -1;    ///< serve attribution, -1 outside serve
   int64_t seq = 0;            ///< serve attribution, 0 outside serve
   int64_t verify_worlds = 0;  ///< last kVerifyBegin estimate this query

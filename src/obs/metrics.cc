@@ -17,8 +17,6 @@ constexpr MetricInfo kHistInfo[kNumHists] = {
      "length of one per-segment merged posting list"},
     {"candidate_alpha_ppm", "ppm",
      "candidate upper bound from the q-gram DP, parts-per-million"},
-    {"wave_imbalance_permille", "permille",
-     "per-wave imbalance, 1000*max/mean of per-worker probe time"},
     {"probe_latency_ns", "ns", "wall time of one probe or query"},
     {"verify_world_count", "count",
      "saturating possible-world count of one verified pair"},
@@ -27,7 +25,6 @@ constexpr MetricInfo kHistInfo[kNumHists] = {
 };
 
 constexpr MetricInfo kCounterInfo[kNumCounters] = {
-    {"waves", "count", "waves executed by the self-join driver"},
     {"probes", "count", "probes executed against the segment index"},
     {"queries", "count", "similarity-search queries answered"},
     {"verify_budget_fallbacks", "count",
@@ -61,7 +58,6 @@ constexpr MetricInfo kCounterInfo[kNumCounters] = {
 
 constexpr MetricInfo kGaugeInfo[kNumGauges] = {
     {"threads", "count", "worker threads used"},
-    {"wave_size", "count", "strings per self-join wave"},
     {"peak_index_memory_bytes", "bytes", "peak segment-index memory"},
     {"collection_size", "count", "strings in the joined collection"},
 };

@@ -38,11 +38,7 @@ enum class Hist : int {
   /// Candidate upper bound from Theorem 2's DP, in parts-per-million
   /// (round(1e6 * P(>= required matches))).
   kCandidateAlphaPpm,
-  /// Per-wave worker imbalance: round(1000 * max / mean) over the wave's
-  /// min(threads, wave size) workers of each worker's summed probe time.
-  /// 1000 = perfectly balanced (always, at one thread).
-  kWaveImbalancePermille,
-  /// Wall time of one whole probe (one rank in a wave, or one query),
+  /// Wall time of one whole probe (a self-join probe or a query),
   /// nanoseconds.
   kProbeLatencyNs,
   /// Saturating possible-world count of one verified pair: the product of
@@ -54,14 +50,12 @@ enum class Hist : int {
   /// separators on one connection; see src/serve/).
   kServeBatchSize,
 };
-inline constexpr int kNumHists = 8;
+inline constexpr int kNumHists = 7;
 
 /// Counters: monotonically increasing event counts.
 enum class Counter : int {
-  /// Waves executed by the self-join driver.
-  kWaves = 0,
-  /// Probes executed (self-join ranks + cross-join probes).
-  kProbes,
+  /// Probes executed (self-join probes + queries, cross-join probes).
+  kProbes = 0,
   /// Queries answered by SimilaritySearcher::Search/SearchMany.
   kQueries,
   /// Candidates decided from CDF bounds because the possible-world product
@@ -103,17 +97,16 @@ enum class Counter : int {
   /// Stall reports captured by the watchdog (src/obs/watchdog.h).
   kWatchdogStallsCaptured,
 };
-inline constexpr int kNumCounters = 17;
+inline constexpr int kNumCounters = 16;
 
 /// Gauges: point-in-time values; Merge keeps the maximum so folds are
 /// order-independent.
 enum class Gauge : int {
   kThreads = 0,
-  kWaveSize,
   kPeakIndexMemoryBytes,
   kCollectionSize,
 };
-inline constexpr int kNumGauges = 4;
+inline constexpr int kNumGauges = 3;
 
 /// Filter-funnel stages, in pipeline order (Section 5's cascade): each stage
 /// records the candidates that entered it and the candidates that survived
@@ -156,7 +149,7 @@ const MetricInfo& FunnelStageInfo(FunnelStage s);
 /// Bucket 0 holds values <= 0; bucket b (1..63) holds values with bit width
 /// b, i.e. [2^(b-1), 2^b).  All state is int64, so Merge is a plain integer
 /// sum: commutative, associative, and bit-identical under any fold order —
-/// the property the deterministic (wave, rank) folding relies on.  Storage
+/// the property the deterministic probe-order folding relies on.  Storage
 /// is a fixed inline array; recording never allocates.
 class Histogram {
  public:
@@ -224,14 +217,14 @@ class Histogram {
 // Recorder
 // ---------------------------------------------------------------------------
 
-/// \brief One rank's (or one run's) metric state: every registry histogram,
-/// counter, and gauge, inline.
+/// \brief One probe's (or one run's) metric state: every registry
+/// histogram, counter, and gauge, inline.
 ///
 /// A Recorder is a flat value type (~3 KiB) with no heap state: recording is
 /// a few integer ops and never allocates, which is how instrumentation stays
 /// inside the steady-state zero-allocation guarantee of the probe path.
-/// Drivers give each worker rank its own Recorder and fold them with Merge
-/// in the same deterministic (wave, rank) order as JoinStats::Merge; because
+/// Drivers give each probe its own Recorder and fold them with Merge in the
+/// same deterministic probe order as JoinStats::Merge; because
 /// all state is int64, the folded totals are bit-identical for every thread
 /// count and fold order.
 ///
@@ -302,7 +295,9 @@ class Recorder {
 };
 
 /// Version of the "metrics" JSON object emitted by Recorder::AppendJson.
-inline constexpr int kMetricsSchemaVersion = 1;
+/// Version 2 dropped the self-join driver's batch counter, batch-size gauge
+/// and batch-imbalance histogram: the join no longer runs in batches.
+inline constexpr int kMetricsSchemaVersion = 2;
 
 }  // namespace obs
 }  // namespace ujoin

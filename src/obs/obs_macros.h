@@ -45,7 +45,6 @@
     (void)sizeof(recorder), (void)sizeof(stage),                       \
         (void)sizeof((entered)), (void)sizeof((survived));             \
   } while (0)
-#define UJOIN_OBS_FLIGHT_ENABLED() (false)
 #define UJOIN_OBS_FLIGHT_EVENT(kind, a, b)                             \
   do {                                                                 \
     (void)sizeof(kind), (void)sizeof((a)), (void)sizeof((b));          \
@@ -83,11 +82,6 @@
       (recorder)->AddFunnel((stage), (entered), (survived)); \
     }                                                        \
   } while (0)
-
-/// True when the flight recorder is live; use to guard work done only to
-/// feed a flight event's payload.
-#define UJOIN_OBS_FLIGHT_ENABLED() \
-  (::ujoin::obs::GlobalFlightRecorder()->enabled())
 
 /// Records one lifecycle event (obs::FlightEvent `kind`, two int64 payload
 /// words) on the calling thread's flight-recorder ring.  Always-on

@@ -13,9 +13,10 @@ namespace obs {
 /// Schema identifier and version of the run-report envelope.  Bump the
 /// version on any incompatible key change; the schema is documented in
 /// DESIGN.md "Observability".  Version 2 dropped the constant
-/// kernel-form key.
+/// kernel-form key; version 3 dropped the self-join's batch-size option
+/// from `options`.
 inline constexpr const char* kRunReportSchema = "ujoin.run_report";
-inline constexpr int kRunReportSchemaVersion = 2;
+inline constexpr int kRunReportSchemaVersion = 3;
 
 /// \brief One top-level section of a run report: a key plus a pre-rendered
 /// JSON value.
@@ -31,7 +32,7 @@ struct ReportSection {
 /// \brief Renders the run-report envelope shared by `ujoin_cli
 /// join|search --metrics-out` and every BENCH_*.json:
 ///
-///   {"schema":"ujoin.run_report","schema_version":2,
+///   {"schema":"ujoin.run_report","schema_version":3,
 ///    "command":<command>, <sections in order>}
 ///
 /// Section keys in common use: "options", "stats" (JoinStats::ToJson),

@@ -30,11 +30,11 @@ namespace obs {
 //
 // and 404s everything else.  The join/search pipeline never blocks on a
 // scrape: workers do not know the server exists.  The driver renders a
-// Prometheus page at its own safe points (wave boundaries, query folds) and
-// pushes the finished bytes with UpdateMetrics / UpdateDebugPage; the accept
-// thread serves whatever snapshot it holds under a mutex held only for a
-// string copy.  Scrapes therefore observe a consistent (wave-boundary)
-// snapshot, never a half-merged recorder.
+// Prometheus page at its own safe points (progress points of its fold,
+// batch ends) and pushes the finished bytes with UpdateMetrics /
+// UpdateDebugPage; the accept thread serves whatever snapshot it holds under
+// a mutex held only for a string copy.  Scrapes therefore observe a
+// consistent snapshot, never a half-merged recorder.
 // ---------------------------------------------------------------------------
 
 class ScrapeServer {

@@ -28,10 +28,10 @@ struct TraceEvent {
 /// The recorder owns the run's clock origin: all timestamps are nanoseconds
 /// since construction, taken from the same steady clock as util/Timer, so
 /// spans from different threads share one timeline.  The recorder itself is
-/// single-threaded — only the driver thread calls AddSpan/Append.  Worker
-/// ranks record into their own SpanCollector (below), and the driver folds
-/// those buffers in deterministic (wave, rank) order, mirroring how
-/// JoinStats and metrics merge.
+/// single-threaded — only the driver thread calls AddSpan/Append.  Each
+/// probe records into its own SpanCollector (below), and the driver folds
+/// those buffers in deterministic probe order, mirroring how JoinStats and
+/// metrics merge.
 ///
 /// The output is the Chrome trace-event format ("X" complete events plus
 /// thread-name metadata), loadable in chrome://tracing and Perfetto.
@@ -53,8 +53,8 @@ class TraceRecorder {
     events_.push_back(TraceEvent{name, ts_ns, dur_ns, tid});
   }
 
-  /// Appends a rank's collected spans.  Driver thread only; call in
-  /// (wave, rank) order so traces are reproducibly ordered.
+  /// Appends a probe's collected spans.  Driver thread only; call in probe
+  /// order so traces are reproducibly ordered.
   void Append(const std::vector<TraceEvent>& events) {
     events_.insert(events_.end(), events.begin(), events.end());
   }
@@ -65,7 +65,7 @@ class TraceRecorder {
 
   /// Enables 1-in-`n` probe-span sampling (1 keeps every probe; 0 keeps
   /// none — useful with SetSlowKeepNs to trace only slow queries).
-  /// Driver/wave spans are never sampled out — only per-probe span buffers
+  /// Driver spans are never sampled out — only per-probe span buffers
   /// gated through SampleProbe.  The decision for a probe is a pure function
   /// of (`seed`, probe index), so sampled traces are reproducible and
   /// identical for every thread count.  Driver thread only, before the run.
@@ -129,12 +129,12 @@ class TraceRecorder {
   int64_t probes_sampled_ = 0;
 };
 
-/// \brief A worker rank's private span buffer.
+/// \brief A probe's private span buffer.
 ///
-/// Ranks must not touch the shared TraceRecorder concurrently; instead each
-/// rank gets a SpanCollector that shares the recorder's clock (for a common
-/// timeline) but buffers spans locally.  The driver appends the buffers in
-/// (wave, rank) order after the parallel phase.  A default-constructed
+/// Workers must not touch the shared TraceRecorder concurrently; instead
+/// each probe gets a SpanCollector that shares the recorder's clock (for a
+/// common timeline) but buffers spans locally.  The driver appends the
+/// buffers in probe order as it folds the probes.  A default-constructed
 /// collector is disabled: NowNs() returns 0 and Span() is a no-op, so call
 /// sites need no separate tracing flag.
 class SpanCollector {

@@ -20,7 +20,7 @@ namespace obs {
 //
 // A background thread that scans the flight recorder's per-thread in-flight
 // blocks (FlightRecorder::ReadInFlight) and captures a stall report when a
-// query (or self-join wave) has been running longer than its threshold:
+// query (or self-join probe) has been running longer than its threshold:
 // `deadline_multiple` times the query's own deadline when one is set, else
 // the flat `stall_ns` fallback.  The flight macros already stamp the
 // in-flight block (query begin/end, funnel stage, verify-world estimate,
@@ -54,7 +54,7 @@ struct WatchdogOptions {
 /// One captured stall.  All fields except elapsed_ns are determinism
 /// tier 2/3 (attribution/content); elapsed_ns is tier 1 wall clock.
 struct StallReport {
-  int64_t band = 0;           ///< length band (query) or wave index
+  int64_t band = 0;           ///< length band of the query or probe
   int64_t funnel_stage = -1;  ///< obs::FunnelStage, -1 = before the funnel
   int64_t verify_worlds = 0;  ///< last verify-begin world estimate
   int64_t deadline_ns = 0;    ///< the query's deadline, 0 = none

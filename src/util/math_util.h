@@ -14,12 +14,6 @@ inline constexpr double kProbEpsilon = 1e-9;
 /// Clamps a computed probability into [0, 1].
 inline double ClampProb(double p) { return std::clamp(p, 0.0, 1.0); }
 
-/// True when |a - b| is within an absolute-plus-relative tolerance; used by
-/// internal sanity checks on probability arithmetic.
-inline bool ApproxEqual(double a, double b, double tol = kProbEpsilon) {
-  return std::fabs(a - b) <= tol * (1.0 + std::max(std::fabs(a), std::fabs(b)));
-}
-
 /// Saturating multiply for world counts: the number of possible worlds of an
 /// uncertain string overflows int64 quickly, so counting code saturates at
 /// kWorldCountCap instead of overflowing.

@@ -20,13 +20,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in microseconds.
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
-  }
-
   /// Elapsed time in nanoseconds.  Sub-millisecond stages (per-pair filter
   /// and verification scopes) accumulate these integer nanoseconds instead
   /// of round-tripping through seconds-doubles, which lose precision once

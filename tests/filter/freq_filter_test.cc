@@ -79,17 +79,10 @@ TEST(FrequencySummaryTest, PrecomputedArraysAreConsistent) {
       const CharFrequencySummary& cs = summary.ForSymbol(c);
       const int fu = cs.uncertain_count;
       for (int x = 0; x <= fu; ++x) {
-        double tail = 0.0, scaled_tail = 0.0, scaled_head = 0.0;
-        for (int y = 0; y <= fu; ++y) {
-          const double p = cs.pmf[static_cast<size_t>(y)];
-          if (y >= x) {
-            tail += p;
-            scaled_tail += (y - x + 1) * p;
-          }
-          if (y <= x) scaled_head += (x - y) * p;
+        double scaled_head = 0.0;
+        for (int y = 0; y <= x; ++y) {
+          scaled_head += (x - y) * cs.pmf[static_cast<size_t>(y)];
         }
-        EXPECT_NEAR(cs.tail[static_cast<size_t>(x)], tail, 1e-9);
-        EXPECT_NEAR(cs.scaled_tail[static_cast<size_t>(x)], scaled_tail, 1e-9);
         EXPECT_NEAR(cs.scaled_head[static_cast<size_t>(x)], scaled_head, 1e-9);
       }
     }

@@ -565,8 +565,6 @@ TEST(FrozenIndexTest, QuerySummaryRebuildDoesNotAllocate) {
     EXPECT_EQ(got.uncertain_count, want.uncertain_count) << "symbol " << c;
     EXPECT_EQ(got.expected, want.expected) << "symbol " << c;
     EXPECT_TRUE(same(got.pmf, want.pmf)) << "symbol " << c;
-    EXPECT_TRUE(same(got.tail, want.tail)) << "symbol " << c;
-    EXPECT_TRUE(same(got.scaled_tail, want.scaled_tail)) << "symbol " << c;
     EXPECT_TRUE(same(got.scaled_head, want.scaled_head)) << "symbol " << c;
   }
 }

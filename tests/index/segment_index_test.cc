@@ -1,10 +1,15 @@
 #include "index/segment_index.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/datagen.h"
 #include "filter/qgram_filter.h"
 #include "testing/test_util.h"
 #include "text/alphabet.h"
@@ -170,6 +175,83 @@ TEST(InvertedSegmentIndexTest, WildcardSegmentsStayConservative) {
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].id, 0u);
   EXPECT_DOUBLE_EQ(candidates[0].upper_bound, 1.0);
+}
+
+// Sorted by length, ties by index: the self-join's visiting order.
+std::vector<UncertainString> ByLength(std::vector<UncertainString> strings) {
+  std::stable_sort(strings.begin(), strings.end(),
+                   [](const UncertainString& a, const UncertainString& b) {
+                     return a.length() < b.length();
+                   });
+  return strings;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The prefix argument the parallel self-join rests on: querying an index of
+// every string with id_limit = i answers exactly like an index that holds
+// only the strings below i (the paper's insert-after-every-string scan),
+// frozen or not.  Compares ids, matched segments and the bits of Theorem 2's
+// bound for every position i and every length within k of its own.
+void ExpectIdLimitMatchesPrefixIndex(
+    const std::vector<UncertainString>& strings, int k, double tau,
+    const char* label) {
+  InvertedSegmentIndex full(k, 3);
+  for (uint32_t id = 0; id < strings.size(); ++id) {
+    ASSERT_TRUE(full.Insert(id, strings[id]).ok());
+  }
+  InvertedSegmentIndex frozen = full;
+  frozen.Freeze();
+  InvertedSegmentIndex prefix(k, 3);
+  int64_t compared = 0;
+  for (uint32_t i = 0; i < strings.size(); ++i) {
+    const UncertainString& r = strings[i];
+    for (int l = std::max(1, r.length() - k); l <= r.length() + k; ++l) {
+      const std::vector<IndexCandidate> want = prefix.Query(r, l, tau);
+      for (const InvertedSegmentIndex* index : {&full, &frozen}) {
+        const std::vector<IndexCandidate> got =
+            index->Query(r, l, tau, /*stats=*/nullptr, /*id_limit=*/i);
+        ASSERT_EQ(got.size(), want.size())
+            << label << " i=" << i << " l=" << l;
+        for (size_t c = 0; c < got.size(); ++c) {
+          EXPECT_EQ(got[c].id, want[c].id) << label << " i=" << i;
+          EXPECT_EQ(got[c].matched_segments, want[c].matched_segments)
+              << label << " i=" << i << " id=" << got[c].id;
+          EXPECT_TRUE(SameBits(got[c].upper_bound, want[c].upper_bound))
+              << label << " i=" << i << " id=" << got[c].id;
+        }
+      }
+      compared += static_cast<int64_t>(want.size());
+    }
+    ASSERT_TRUE(prefix.Insert(i, r).ok());
+  }
+  EXPECT_GT(compared, 0) << label;  // the property saw real candidates
+}
+
+TEST(InvertedSegmentIndexTest, IdLimitMatchesPrefixIndex) {
+  for (uint64_t seed : {uint64_t{3}, uint64_t{17}}) {
+    DatasetOptions names;
+    names.kind = DatasetOptions::Kind::kNames;
+    names.size = 160;
+    names.seed = seed;
+    names.max_uncertain_positions = 4;
+    ExpectIdLimitMatchesPrefixIndex(ByLength(GenerateDataset(names).strings),
+                                    /*k=*/2, /*tau=*/0.1, "names");
+
+    const Alphabet dna = Alphabet::Dna();
+    Rng rng(seed);
+    testing::RandomStringOptions opt;
+    opt.min_length = 6;
+    opt.max_length = 14;
+    std::vector<UncertainString> strands;
+    for (int n = 0; n < 160; ++n) {
+      strands.push_back(testing::RandomUncertainString(dna, opt, rng));
+    }
+    ExpectIdLimitMatchesPrefixIndex(ByLength(std::move(strands)), /*k=*/1,
+                                    /*tau=*/0.05, "dna");
+  }
 }
 
 TEST(InvertedSegmentIndexTest, MemoryAccountsAllBuckets) {

@@ -38,9 +38,9 @@
 namespace ujoin {
 namespace {
 
-// Progress callback for the child: let the first wave finish so the rings
+// Progress callback for the child: let the first probes finish so the rings
 // hold real pipeline events, then die mid-join.
-void CrashAfterFirstWave(const JoinProgress& progress, void* /*user*/) {
+void CrashAtFirstProgress(const JoinProgress& progress, void* /*user*/) {
   if (progress.processed > 0) raise(SIGSEGV);
 }
 
@@ -64,7 +64,7 @@ TEST(CrashDumpTest, SegfaultMidJoinLeavesWellFormedRecord) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: arm the crash handler, then run a join that kills itself at
-    // the first wave boundary.  Everything below the raise must come from
+    // its first progress report.  Everything below the raise must come from
     // the signal handler's dump path.
     if (!obs::InstallCrashDump(dump_path.c_str())) _exit(3);
     DatasetOptions opt;
@@ -74,7 +74,7 @@ TEST(CrashDumpTest, SegfaultMidJoinLeavesWellFormedRecord) {
     opt.seed = 29;
     const Dataset dataset = GenerateDataset(opt);
     JoinOptions options = JoinOptions::Qfct(2, 0.1);
-    options.progress_fn = &CrashAfterFirstWave;
+    options.progress_fn = &CrashAtFirstProgress;
     Result<SelfJoinResult> result =
         SimilaritySelfJoin(dataset.strings, dataset.alphabet, options);
     // Reaching here means the signal never fired: report a clean exit the
@@ -97,10 +97,10 @@ TEST(CrashDumpTest, SegfaultMidJoinLeavesWellFormedRecord) {
             std::string::npos);
   EXPECT_EQ(record.substr(record.size() - 3), "]}\n");
 #ifndef UJOIN_OBS_DISABLED
-  // The rings hold the join that was in flight: the first wave's lifecycle
-  // and its probes made it in before the signal.  A -DUJOIN_OBS=OFF build
-  // records no join events.
-  EXPECT_NE(record.find("\"kind\":\"wave_start\""), std::string::npos);
+  // The rings hold the join that was in flight: the first probes' query
+  // epochs made it in before the signal.  A -DUJOIN_OBS=OFF build records
+  // no join events.
+  EXPECT_NE(record.find("\"kind\":\"query_begin\""), std::string::npos);
   EXPECT_NE(record.find("\"kind\":\"probe_begin\""), std::string::npos);
 #endif
   EXPECT_NE(record.find("\"threads_registered\":"), std::string::npos);

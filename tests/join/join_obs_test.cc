@@ -2,10 +2,12 @@
 // byte-identical pairs and counters to an uninstrumented one, and the
 // work-derived metrics (merged-list lengths, candidate α bounds, explored
 // trie nodes) merge to bit-identical histograms for every thread count —
-// the (wave, rank)-ordered fold contract of src/obs/.
+// the probe-ordered fold contract of src/obs/.
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "join/cross_join.h"
 #include "join/search.h"
 #include "join/self_join.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -48,7 +51,7 @@ void ExpectIdenticalPairs(const std::vector<JoinPair>& a,
 
 // The work-derived histograms: values depend only on what the pipeline
 // computed, never on the clock, so the merged result must be bit-identical
-// for every thread count (at a fixed wave size).
+// for every thread count.
 const obs::Hist kDeterministicHists[] = {
     obs::Hist::kMergedListLength,
     obs::Hist::kCandidateAlphaPpm,
@@ -67,6 +70,43 @@ const obs::Hist kDeterministicHists[] = {
   } while (0)
 #endif
 
+// The registry total of flight-event `kind` in a dump of the global
+// recorder.
+int64_t FlightKindTotal(const char* kind) {
+  const std::string path = ::testing::TempDir() + "/join_obs_flight.json";
+  EXPECT_TRUE(obs::DumpFlightRecord(path.c_str(), obs::FlightDumpOptions{}));
+  std::ifstream in(path);
+  std::stringstream dump;
+  dump << in.rdbuf();
+  // A `"<kind>":` key only occurs in the registry; events spell
+  // `"kind":"<kind>"`.
+  const std::string text = dump.str();
+  const std::string key = std::string("\"") + kind + "\":";
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size()));
+}
+
+// Each probe of a join is one in-flight epoch for the watchdog: n strings
+// record n query_begin and n query_end events, whatever the thread count.
+// First in this file: every thread claims a flight slot for good, so in a
+// whole-binary run later tests' workers would exhaust them.
+TEST(JoinObsTest, EveryProbeOpensAndClosesOneFlightEpoch) {
+  UJOIN_SKIP_WITHOUT_OBS();
+  const Alphabet alphabet = Alphabet::Names();
+  const std::vector<UncertainString> strings = SeededCollection(90, 11);
+  for (int threads : {1, 4}) {
+    const int64_t begins = FlightKindTotal("query_begin");
+    const int64_t ends = FlightKindTotal("query_end");
+    JoinOptions options = JoinOptions::Qfct(2, 0.1);
+    options.threads = threads;
+    ASSERT_TRUE(SimilaritySelfJoin(strings, alphabet, options).ok());
+    EXPECT_EQ(FlightKindTotal("query_begin") - begins, 90) << threads;
+    EXPECT_EQ(FlightKindTotal("query_end") - ends, 90) << threads;
+  }
+  EXPECT_EQ(obs::GlobalFlightRecorder()->dropped_events(), 0);
+}
+
 TEST(JoinObsTest, InstrumentationDoesNotChangeResults) {
   UJOIN_SKIP_WITHOUT_OBS();
   const Alphabet alphabet = Alphabet::Names();
@@ -74,7 +114,6 @@ TEST(JoinObsTest, InstrumentationDoesNotChangeResults) {
 
   JoinOptions plain = JoinOptions::Qfct(2, 0.1);
   plain.threads = 2;
-  plain.wave_size = 16;
   Result<SelfJoinResult> baseline = SimilaritySelfJoin(strings, alphabet,
                                                        plain);
   ASSERT_TRUE(baseline.ok());
@@ -95,8 +134,6 @@ TEST(JoinObsTest, InstrumentationDoesNotChangeResults) {
             observed->stats.index_stats.postings_scanned);
 
   // The recorder saw real work...
-  EXPECT_GT(recorder.counter(obs::Counter::kProbes), 0);
-  EXPECT_GT(recorder.counter(obs::Counter::kWaves), 0);
   EXPECT_EQ(recorder.counter(obs::Counter::kProbes),
             static_cast<int64_t>(strings.size()));
   EXPECT_GT(recorder.hist(obs::Hist::kMergedListLength).count(), 0);
@@ -105,11 +142,11 @@ TEST(JoinObsTest, InstrumentationDoesNotChangeResults) {
   EXPECT_EQ(recorder.gauge(obs::Gauge::kThreads), 2);
   EXPECT_EQ(recorder.gauge(obs::Gauge::kCollectionSize),
             static_cast<int64_t>(strings.size()));
-  // ...and the trace captured the wave phases.
+  // ...and the trace captured the driver's and the probes' spans.
   EXPECT_GT(trace.num_events(), 0u);
   const std::string trace_json = trace.ToJson();
-  for (const char* span : {"index_insert", "freq_summaries", "wave_probe",
-                           "wave_merge", "probe", "qgram_probe"}) {
+  for (const char* span :
+       {"index_insert", "freq_summaries", "probe", "qgram_probe"}) {
     EXPECT_NE(trace_json.find("\"name\":\"" + std::string(span) + "\""),
               std::string::npos)
         << span;
@@ -124,7 +161,6 @@ TEST(JoinObsTest, FunnelAndWorldCountMatchPipelineStats) {
   obs::Recorder recorder;
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.threads = 2;
-  options.wave_size = 16;
   options.metrics = &recorder;
   Result<SelfJoinResult> result = SimilaritySelfJoin(strings, alphabet,
                                                      options);
@@ -173,8 +209,7 @@ TEST(JoinObsTest, FunnelIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     JoinOptions options = JoinOptions::Qfct(2, 0.15);
     options.threads = threads;
-    options.wave_size = 16;
-    obs::Recorder recorder;
+      obs::Recorder recorder;
     options.metrics = &recorder;
     Result<SelfJoinResult> result =
         SimilaritySelfJoin(strings, alphabet, options);
@@ -210,8 +245,7 @@ TEST(JoinObsTest, ProbeSpanSamplingShrinksTracesDeterministically) {
     if (sample_n > 1) trace.SetProbeSampling(sample_n, kSeed);
     JoinOptions options = JoinOptions::Qfct(2, 0.1);
     options.threads = threads;
-    options.wave_size = 16;
-    options.trace = &trace;
+      options.trace = &trace;
     Result<SelfJoinResult> result =
         SimilaritySelfJoin(strings, alphabet, options);
     EXPECT_TRUE(result.ok());
@@ -227,9 +261,9 @@ TEST(JoinObsTest, ProbeSpanSamplingShrinksTracesDeterministically) {
   EXPECT_GT(sampled.probes_sampled(), 0);
   EXPECT_LT(sampled.probes_sampled(), full.probes_sampled() / 2);
   EXPECT_LT(sampled.num_events(), full.num_events());
-  // Driver/wave spans always survive sampling.
+  // Driver spans always survive sampling.
   const std::string json = sampled.ToJson();
-  for (const char* span : {"index_insert", "wave_probe", "wave_merge"}) {
+  for (const char* span : {"index_insert", "freq_summaries"}) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(span) + "\""),
               std::string::npos)
         << span;
@@ -254,8 +288,7 @@ TEST(JoinObsTest, WorkHistogramsAreBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     JoinOptions options = JoinOptions::Qfct(2, 0.15);
     options.threads = threads;
-    options.wave_size = 16;
-    obs::Recorder recorder;
+      obs::Recorder recorder;
     options.metrics = &recorder;
     Result<SelfJoinResult> result =
         SimilaritySelfJoin(strings, alphabet, options);
@@ -282,39 +315,15 @@ TEST(JoinObsTest, WorkHistogramsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// One worker cannot be imbalanced: the imbalance is max/mean over workers'
-// summed probe time, so a 1-thread join reads exactly 1000 in every wave,
-// however unequal its probes are.
-TEST(JoinObsTest, OneThreadWaveImbalanceIsExactlyBalanced) {
-  UJOIN_SKIP_WITHOUT_OBS();
-  const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> strings = SeededCollection(90, 11);
-
-  obs::Recorder recorder;
-  JoinOptions options = JoinOptions::Qfct(2, 0.1);
-  options.threads = 1;
-  options.wave_size = 16;
-  options.metrics = &recorder;
-  ASSERT_TRUE(SimilaritySelfJoin(strings, alphabet, options).ok());
-
-  const obs::Histogram& imbalance =
-      recorder.hist(obs::Hist::kWaveImbalancePermille);
-  EXPECT_EQ(imbalance.count(), recorder.counter(obs::Counter::kWaves));
-  EXPECT_EQ(imbalance.count(), 6);  // ceil(90 / 16)
-  EXPECT_EQ(imbalance.min(), 1000);
-  EXPECT_EQ(imbalance.max(), 1000);
-}
-
 TEST(JoinObsTest, ProgressCallbackSeesMonotoneCompletion) {
   const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> strings = SeededCollection(60, 3);
+  const std::vector<UncertainString> strings = SeededCollection(150, 3);
 
   struct Progress {
     std::vector<JoinProgress> snapshots;
   } progress;
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.threads = 2;
-  options.wave_size = 16;
   options.progress_fn = [](const JoinProgress& p, void* user) {
     static_cast<Progress*>(user)->snapshots.push_back(p);
   };
@@ -323,10 +332,13 @@ TEST(JoinObsTest, ProgressCallbackSeesMonotoneCompletion) {
                                                      options);
   ASSERT_TRUE(result.ok());
 
-  ASSERT_FALSE(progress.snapshots.empty());
+  // One snapshot every 64 folded probes and one at the end.
+  ASSERT_EQ(progress.snapshots.size(), 3u);
   uint64_t prev_processed = 0;
   for (const JoinProgress& p : progress.snapshots) {
     EXPECT_EQ(p.total, strings.size());
+    EXPECT_TRUE(p.processed % 64 == 0 || p.processed == p.total)
+        << p.processed;
     EXPECT_GE(p.processed, prev_processed);
     EXPECT_LE(p.processed, p.total);
     EXPECT_GE(p.elapsed_seconds, 0.0);

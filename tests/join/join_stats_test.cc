@@ -173,8 +173,8 @@ TEST(JoinStatsMergeTest, FoldingEqualsFieldwiseSums) {
 }
 
 // Property on the real pipeline: the parallel self-join folds per-probe
-// stats with Merge; its pair-flow counters must equal the sequential
-// (threads = 1, wave = 1) run's counters.
+// stats with Merge; its pair-flow and index work counters must equal the
+// one-thread run's counters.
 TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
   DatasetOptions data;
   data.kind = DatasetOptions::Kind::kNames;
@@ -188,7 +188,6 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
 
   JoinOptions sequential_options = JoinOptions::Qfct(2, 0.1);
   sequential_options.threads = 1;
-  sequential_options.wave_size = 1;
   Result<SelfJoinResult> sequential =
       SimilaritySelfJoin(dataset.strings, dataset.alphabet,
                          sequential_options);
@@ -196,7 +195,6 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
 
   JoinOptions parallel_options = JoinOptions::Qfct(2, 0.1);
   parallel_options.threads = 4;
-  parallel_options.wave_size = 16;
   Result<SelfJoinResult> parallel = SimilaritySelfJoin(
       dataset.strings, dataset.alphabet, parallel_options);
   ASSERT_TRUE(parallel.ok());
@@ -216,6 +214,10 @@ TEST(JoinStatsMergeTest, MergedThreadLocalStatsEqualSequentialPairFlow) {
   EXPECT_EQ(p.verified_hits, s.verified_hits);
   EXPECT_EQ(p.verify_worlds, s.verify_worlds);
   EXPECT_GT(p.verify_worlds, 0);
+  EXPECT_EQ(p.index_stats.lists_scanned, s.index_stats.lists_scanned);
+  EXPECT_EQ(p.index_stats.postings_scanned, s.index_stats.postings_scanned);
+  EXPECT_EQ(p.index_stats.ids_touched, s.index_stats.ids_touched);
+  EXPECT_EQ(p.peak_index_memory, s.peak_index_memory);
 }
 
 TEST(JoinStatsTest, FilterTimeExcludesIndexBuild) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/datagen.h"
+#include "filter/partition.h"
 #include "index/segment_index.h"
 #include "join/search.h"
 #include "testing/test_util.h"
@@ -271,6 +272,92 @@ TEST(SearcherPersistenceTest, RejectsGarbageAndTruncation) {
   Result<SimilaritySearcher> truncated =
       SimilaritySearcher::Load(path, alphabet);
   EXPECT_FALSE(truncated.ok());
+  std::remove(path.c_str());
+}
+
+// Images crafted to defeat the loader must fail with InvalidArgument, not
+// abort on a count-sized allocation or load ids that index past the
+// collection (which the first query would then follow out of bounds).
+TEST(SearcherPersistenceTest, CraftedImagesFailWithInvalidArgument) {
+  const Alphabet alphabet = Alphabet::Names();
+  const std::string path = TempPath("ujoin_crafted.bin");
+  const std::string text = "abcde";
+  // Header up to the collection count: k = 1, q = 3, all filters on.
+  const auto header = [](BinaryWriter* w, uint64_t count) {
+    w->WriteU32(0x554a5358);  // "UJSX"
+    w->WriteU32(kSearcherFormatVersion);
+    w->WriteI32(1);
+    w->WriteDouble(0.1);
+    w->WriteI32(3);
+    w->WriteU8(1 | 2 | 4 | 8);
+    w->WriteU8(0);
+    w->WriteU64(count);
+  };
+  // Index section: k, q and one bucket header of `length` claiming
+  // `num_ids` ids.
+  const auto index_start = [](BinaryWriter* w, int length, uint64_t num_ids) {
+    w->WriteU8(1);  // has an index
+    w->WriteI32(1);
+    w->WriteI32(3);
+    w->WriteU64(1);
+    w->WriteI32(length);
+    w->WriteU64(num_ids);
+  };
+  // A one-string collection whose every segment posting names `id`.
+  const auto one_string = [&](uint32_t id) {
+    BinaryWriter w;
+    header(&w, 1);
+    w.WriteI32(static_cast<int32_t>(text.size()));
+    for (char c : text) {
+      w.WriteU32(1);
+      w.WriteU8(static_cast<uint8_t>(c));
+      w.WriteDouble(1.0);
+    }
+    index_start(&w, static_cast<int>(text.size()), 1);
+    w.WriteU32(0);
+    const std::vector<Segment> segments =
+        PartitionForJoin(static_cast<int>(text.size()), 1, 3);
+    w.WriteU64(segments.size());
+    for (const Segment& seg : segments) {
+      w.WriteU64(1);
+      w.WriteString(text.substr(static_cast<size_t>(seg.start),
+                                static_cast<size_t>(seg.length)));
+      w.WriteU64(1);
+      w.WriteU32(id);
+      w.WriteDouble(1.0);
+      w.WriteU64(0);  // no wildcards
+    }
+    return w;
+  };
+  const auto load = [&](const BinaryWriter& w) {
+    EXPECT_TRUE(w.WriteToFile(path).ok());
+    return SimilaritySearcher::Load(path, alphabet);
+  };
+
+  // The well-formed variant loads and answers: the crafting is faithful.
+  Result<SimilaritySearcher> valid = load(one_string(0));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  Result<std::vector<SearchHit>> hits =
+      valid->Search(UncertainString::FromDeterministic(text));
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits->size(), 1u);
+
+  BinaryWriter huge_collection;  // 2^40 strings claimed
+  header(&huge_collection, uint64_t{1} << 40);
+  BinaryWriter huge_bucket;  // no strings, one bucket claiming 2^40 ids
+  header(&huge_bucket, 0);
+  index_start(&huge_bucket, 5, uint64_t{1} << 40);
+  const BinaryWriter foreign_id = one_string(1000000);
+  EXPECT_EQ(huge_collection.buffer().size(), 34u);
+  EXPECT_EQ(huge_bucket.buffer().size(), 63u);
+  for (const BinaryWriter* image : std::vector<const BinaryWriter*>{
+           &huge_collection, &huge_bucket, &foreign_id}) {
+    Result<SimilaritySearcher> loaded = load(*image);
+    EXPECT_FALSE(loaded.ok()) << image->buffer().size() << " bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << image->buffer().size() << " bytes: "
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

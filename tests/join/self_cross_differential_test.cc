@@ -1,9 +1,10 @@
-// Differential test (exactness of the wave-parallel self-join): on the same
+// Differential test (exactness of the parallel self-join): on the same
 // collection C, SimilaritySelfJoin(C) must report exactly the pairs of the
 // two-collection SimilarityJoin(C, C) restricted to lhs < rhs.  The two
-// drivers share the filter-and-verify cascade (join/probe_cascade.h) but
-// not the driver code (index-then-probe-all through SearchMany versus
-// wave-batched scan with id limits), so agreement across randomized
+// drivers share the filter-and-verify cascade (join/probe_cascade.h) and
+// the ordered pool (join/ordered_pool.h) but not candidate generation
+// (index-then-probe-all through SearchMany versus a length-gated pass with
+// id limits), so agreement across randomized
 // collections and all four paper variants is strong evidence that both
 // drivers' candidate generation and folding are exact.  ExhaustiveSelfJoin
 // stays the independent reference for the cascade itself.
@@ -65,8 +66,7 @@ TEST_P(SelfCrossDifferentialTest, SelfJoinEqualsCrossJoinOnSameCollection) {
 
     JoinOptions options = GetParam().options;
     options.always_verify = true;  // exact probabilities on both paths
-    options.threads = 4;           // exercise the parallel wave driver
-    options.wave_size = 7;         // force several waves per run
+    options.threads = 4;           // exercise the parallel pass
 
     Result<SelfJoinResult> self =
         SimilaritySelfJoin(collection, alphabet, options);

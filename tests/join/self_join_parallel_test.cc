@@ -1,6 +1,6 @@
-// Determinism guarantees of the wave-parallel self-join: the pair list
-// (ids, probabilities, exactness flags) is byte-identical for every thread
-// count and every wave size, and the result-side counters are equal too.
+// Determinism guarantees of the parallel self-join: the pair list (ids,
+// probabilities, exactness flags) is byte-identical for every thread count,
+// and so are the pair-flow and index work counters.
 
 #include <cstdint>
 #include <vector>
@@ -39,9 +39,8 @@ void ExpectIdenticalPairs(const SelfJoinResult& a, const SelfJoinResult& b,
   }
 }
 
-// Pair-flow counters (everything except wall times and raw index scan work,
-// which legitimately varies with the wave size).  These must be equal to the
-// sequential semantics for every (threads, wave_size) configuration.
+// Pair-flow counters: everything except wall times and the index scan
+// work.
 void ExpectEqualPairFlow(const JoinStats& a, const JoinStats& b,
                          const std::string& label) {
   EXPECT_EQ(a.length_compatible_pairs, b.length_compatible_pairs) << label;
@@ -62,8 +61,8 @@ void ExpectEqualPairFlow(const JoinStats& a, const JoinStats& b,
   EXPECT_EQ(a.verify_stats.world_pairs, b.verify_stats.world_pairs) << label;
 }
 
-// Full work-counter equality, including the index merge-scan counters —
-// holds across thread counts at a fixed wave size.
+// Full work-counter equality, including the index merge-scan counters: every
+// probe sees exactly the prefix of its position, whatever the thread count.
 void ExpectEqualWorkCounters(const JoinStats& a, const JoinStats& b,
                              const std::string& label) {
   ExpectEqualPairFlow(a, b, label);
@@ -81,49 +80,23 @@ void ExpectEqualWorkCounters(const JoinStats& a, const JoinStats& b,
 
 TEST(SelfJoinParallelTest, ThreadCountDoesNotChangeResultsOrStats) {
   const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> collection = SeededCollection(90, 11);
-  for (int wave_size : {1, 3, 16, 1 << 20}) {
+  for (uint64_t seed : {uint64_t{11}, uint64_t{23}}) {
+    const std::vector<UncertainString> collection = SeededCollection(90, seed);
     JoinOptions base = JoinOptions::Qfct(2, 0.1);
-    base.wave_size = wave_size;
     base.threads = 1;
     Result<SelfJoinResult> reference =
         SimilaritySelfJoin(collection, alphabet, base);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (int threads : {2, 4}) {
+    for (int threads : {2, 3, 4, 8}) {
       JoinOptions options = base;
       options.threads = threads;
       Result<SelfJoinResult> got =
           SimilaritySelfJoin(collection, alphabet, options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " wave=" + std::to_string(wave_size);
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " threads=" + std::to_string(threads);
       ExpectIdenticalPairs(*reference, *got, label);
       ExpectEqualWorkCounters(reference->stats, got->stats, label);
-    }
-  }
-}
-
-TEST(SelfJoinParallelTest, WaveSizeDoesNotChangeResultsOrPairFlow) {
-  const Alphabet alphabet = Alphabet::Names();
-  const std::vector<UncertainString> collection = SeededCollection(90, 23);
-  JoinOptions base = JoinOptions::Qfct(2, 0.1);
-  base.wave_size = 1;  // the paper's insert-after-every-string scan
-  base.threads = 1;
-  Result<SelfJoinResult> reference =
-      SimilaritySelfJoin(collection, alphabet, base);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  for (int wave_size : {2, 5, 32, 1 << 20}) {
-    for (int threads : {1, 4}) {
-      JoinOptions options = base;
-      options.wave_size = wave_size;
-      options.threads = threads;
-      Result<SelfJoinResult> got =
-          SimilaritySelfJoin(collection, alphabet, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " wave=" + std::to_string(wave_size);
-      ExpectIdenticalPairs(*reference, *got, label);
-      ExpectEqualPairFlow(reference->stats, got->stats, label);
     }
   }
 }
@@ -136,7 +109,6 @@ TEST(SelfJoinParallelTest, AllVariantsDeterministicAcrossThreads) {
       JoinOptions::Qft(2, 0.1), JoinOptions::Fct(2, 0.1)};
   for (const JoinOptions& variant : variants) {
     JoinOptions base = variant;
-    base.wave_size = 8;
     base.threads = 1;
     Result<SelfJoinResult> reference =
         SimilaritySelfJoin(collection, alphabet, base);
@@ -151,24 +123,22 @@ TEST(SelfJoinParallelTest, AllVariantsDeterministicAcrossThreads) {
   }
 }
 
-TEST(SelfJoinParallelTest, AutoThreadsAndAutoWaveSizeWork) {
+TEST(SelfJoinParallelTest, AutoThreadsWork) {
   const Alphabet alphabet = Alphabet::Names();
   const std::vector<UncertainString> collection = SeededCollection(50, 41);
   JoinOptions reference_options = JoinOptions::Qfct(2, 0.1);
   reference_options.threads = 1;
-  reference_options.wave_size = 1;
   Result<SelfJoinResult> reference =
       SimilaritySelfJoin(collection, alphabet, reference_options);
   ASSERT_TRUE(reference.ok());
 
   JoinOptions auto_options = JoinOptions::Qfct(2, 0.1);
-  auto_options.threads = 0;    // hardware concurrency
-  auto_options.wave_size = 0;  // adaptive default
+  auto_options.threads = 0;  // hardware concurrency
   Result<SelfJoinResult> got =
       SimilaritySelfJoin(collection, alphabet, auto_options);
   ASSERT_TRUE(got.ok());
   ExpectIdenticalPairs(*reference, *got, "auto");
-  ExpectEqualPairFlow(reference->stats, got->stats, "auto");
+  ExpectEqualWorkCounters(reference->stats, got->stats, "auto");
 }
 
 TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
@@ -177,7 +147,6 @@ TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
   JoinOptions options = JoinOptions::Qfct(2, 0.1);
   options.always_verify = true;
   options.threads = 4;
-  options.wave_size = 6;
   Result<SelfJoinResult> got =
       SimilaritySelfJoin(collection, alphabet, options);
   ASSERT_TRUE(got.ok());
@@ -194,9 +163,8 @@ TEST(SelfJoinParallelTest, ParallelRunStillMatchesExhaustiveGroundTruth) {
 
 TEST(SelfJoinParallelTest, ErrorsPropagateFromWorkerThreads) {
   // An invalid collection must surface the same status regardless of the
-  // thread count (validation happens before the waves, but verification
-  // failures inside workers must propagate too — exercised here via the
-  // empty-string precondition).
+  // thread count (validation happens before the pass; failures inside
+  // workers propagate through the pool, see OrderedPoolTest).
   const Alphabet alphabet = Alphabet::Dna();
   std::vector<UncertainString> collection = {
       UncertainString::FromDeterministic("ACGT"), UncertainString()};

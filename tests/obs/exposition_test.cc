@@ -25,7 +25,7 @@ std::string ReadFile(const std::string& path) {
 // python validator (see WritesSampleForValidator).
 Recorder SeededRecorder() {
   Recorder r;
-  r.AddCounter(Counter::kWaves, 3);
+  r.AddCounter(Counter::kQueries, 3);
   r.AddCounter(Counter::kProbes, 48);
   r.SetGauge(Gauge::kThreads, 4);
   r.SetGauge(Gauge::kCollectionSize, 48);
@@ -50,7 +50,7 @@ TEST(ExpositionTest, GoldenTextForSeededRecorder) {
                       "# TYPE ujoin_probes_total counter\n"
                       "ujoin_probes_total 48\n"),
             std::string::npos);
-  EXPECT_NE(text.find("ujoin_waves_total 3\n"), std::string::npos);
+  EXPECT_NE(text.find("ujoin_queries_total 3\n"), std::string::npos);
   // Gauges keep their registry name as-is.
   EXPECT_NE(text.find("# TYPE ujoin_threads gauge\nujoin_threads 4\n"),
             std::string::npos);

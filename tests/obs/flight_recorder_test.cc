@@ -57,10 +57,9 @@ int CountOccurrences(const std::string& haystack, const std::string& needle) {
 
 TEST(FlightRecorderTest, EventNamesMatchRegistryOrder) {
   const char* expected[kNumFlightEvents] = {
-      "wave_start",   "wave_end",    "probe_begin",     "funnel_stage",
-      "verify_begin", "query_begin", "query_end",       "batch_boundary",
-      "conn_open",    "conn_close",  "conn_idle_close", "serve_query",
-      "stall_captured",
+      "probe_begin",     "funnel_stage", "verify_begin",   "query_begin",
+      "query_end",       "batch_boundary", "conn_open",    "conn_close",
+      "conn_idle_close", "serve_query",  "stall_captured",
   };
   for (int k = 0; k < kNumFlightEvents; ++k) {
     EXPECT_STREQ(FlightEventName(static_cast<FlightEvent>(k)), expected[k]);
@@ -73,16 +72,16 @@ TEST(FlightRecorderTest, EventNamesMatchRegistryOrder) {
 TEST(FlightRecorderTest, RecordsEventsAndClaimsOneSlotPerThread) {
   auto recorder = NewRecorder();
   EXPECT_EQ(recorder->slots_used(), 0);
-  recorder->RecordEvent(FlightEvent::kWaveStart, 0, 10);
+  recorder->RecordEvent(FlightEvent::kQueryBegin, 0, 4);
   recorder->RecordEvent(FlightEvent::kProbeBegin, 0, 3);
-  recorder->RecordEvent(FlightEvent::kWaveEnd, 0, 0);
+  recorder->RecordEvent(FlightEvent::kQueryEnd, 0, 0);
   EXPECT_EQ(recorder->slots_used(), 1);
   EXPECT_EQ(recorder->dropped_events(), 0);
 
   const std::string dump = DumpToString(*recorder, FlightDumpOptions{});
   EXPECT_NE(dump.find("\"schema\":\"ujoin.flight_record\""),
             std::string::npos);
-  EXPECT_NE(dump.find("\"wave_start\":1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"query_begin\":1"), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"probe_begin\":1"), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"recorded\":3"), std::string::npos) << dump;
   EXPECT_EQ(CountOccurrences(dump, "{\"seq\":"), 3) << dump;
@@ -196,19 +195,6 @@ TEST(FlightRecorderTest, InFlightBlockTracksQueryLifecycle) {
       recorder->ReadInFlight(FlightRecorder::kMaxThreadSlots).in_flight);
 }
 
-// Waves use the same epoch protocol as queries: begin/end with the wave
-// index as the band and no deadline.
-TEST(FlightRecorderTest, InFlightBlockTracksWaves) {
-  auto recorder = NewRecorder();
-  recorder->RecordEvent(FlightEvent::kWaveStart, 2, 40);
-  const InFlightSnapshot snap = recorder->ReadInFlight(0);
-  ASSERT_TRUE(snap.in_flight);
-  EXPECT_EQ(snap.band, 2);
-  EXPECT_EQ(snap.deadline_ns, 0);
-  recorder->RecordEvent(FlightEvent::kWaveEnd, 2, 0);
-  EXPECT_FALSE(recorder->ReadInFlight(0).in_flight);
-}
-
 // A dropped end event (error path without the RAII guard) must not wedge
 // the block: the next begin replaces the open epoch.
 TEST(FlightRecorderTest, ReopenWithoutEndReplacesEpoch) {
@@ -264,11 +250,11 @@ TEST(FlightRecorderTest, WritesSampleForValidator) {
   ASSERT_TRUE(recorder->enabled());
   // One of every kind, through the macro the production code uses, plus a
   // second thread so the multi-thread shape is exercised.
-  UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kWaveStart, 0, 40);
+  UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kQueryBegin, 0, 3);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kProbeBegin, 0, 7);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kFunnelStage, 0, 12);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kVerifyBegin, 512, 0);
-  UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kWaveEnd, 0, 0);
+  UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kQueryEnd, 1, 0);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kConnOpen, 1, 0);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kServeQuery, 1, 1);
   UJOIN_OBS_FLIGHT_EVENT(FlightEvent::kQueryBegin, 2'000'000, 5);

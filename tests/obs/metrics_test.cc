@@ -137,9 +137,9 @@ TEST(RecorderTest, GaugeMergeTakesMaxCountersAdd) {
 
   // SetGauge itself keeps the maximum.
   Recorder c;
-  c.SetGauge(Gauge::kWaveSize, 64);
-  c.SetGauge(Gauge::kWaveSize, 32);
-  EXPECT_EQ(c.gauge(Gauge::kWaveSize), 64);
+  c.SetGauge(Gauge::kCollectionSize, 64);
+  c.SetGauge(Gauge::kCollectionSize, 32);
+  EXPECT_EQ(c.gauge(Gauge::kCollectionSize), 64);
 }
 
 TEST(RecorderTest, FunnelAccumulatesAndMergesPerStage) {
@@ -157,43 +157,41 @@ TEST(RecorderTest, FunnelAccumulatesAndMergesPerStage) {
   EXPECT_EQ(a.funnel_survived(FunnelStage::kCdfBound), 0);
 }
 
-// The determinism property the pipeline relies on: folding per-(wave, rank)
+// The determinism property the pipeline relies on: folding per-probe
 // recorders in ANY order produces a bit-identical Recorder — and therefore a
 // byte-identical ToJson — because all state is integer sums and maxes.
 TEST(RecorderTest, MergeIsOrderIndependentAndToJsonByteStable) {
   Rng rng(41);
-  // Simulate 4 waves x 8 ranks of recorders with random workloads.
+  // Simulate 32 probes' recorders with random workloads.
   std::vector<Recorder> locals;
-  for (int wave = 0; wave < 4; ++wave) {
-    for (int rank = 0; rank < 8; ++rank) {
-      Recorder r;
-      const int events = 1 + static_cast<int>(rng.Uniform(50));
-      for (int e = 0; e < events; ++e) {
-        r.RecordHist(Hist::kVerifyLatencyNs,
-                     static_cast<int64_t>(rng.Uniform(1u << 20)));
-        r.RecordHist(Hist::kMergedListLength,
-                     static_cast<int64_t>(rng.Uniform(5000)));
-        r.RecordHist(Hist::kCandidateAlphaPpm,
-                     static_cast<int64_t>(rng.Uniform(1000001)));
-      }
-      r.AddCounter(Counter::kProbes, events);
-      r.SetGauge(Gauge::kPeakIndexMemoryBytes,
-                 static_cast<int64_t>(rng.Uniform(1u << 24)));
-      for (int s = 0; s < kNumFunnelStages; ++s) {
-        const int64_t entered = static_cast<int64_t>(rng.Uniform(1000));
-        r.AddFunnel(static_cast<FunnelStage>(s), entered,
-                    static_cast<int64_t>(rng.Uniform(
-                        static_cast<uint64_t>(entered) + 1)));
-      }
-      locals.push_back(r);
+  for (int probe = 0; probe < 32; ++probe) {
+    Recorder r;
+    const int events = 1 + static_cast<int>(rng.Uniform(50));
+    for (int e = 0; e < events; ++e) {
+      r.RecordHist(Hist::kVerifyLatencyNs,
+                   static_cast<int64_t>(rng.Uniform(1u << 20)));
+      r.RecordHist(Hist::kMergedListLength,
+                   static_cast<int64_t>(rng.Uniform(5000)));
+      r.RecordHist(Hist::kCandidateAlphaPpm,
+                   static_cast<int64_t>(rng.Uniform(1000001)));
     }
+    r.AddCounter(Counter::kProbes, events);
+    r.SetGauge(Gauge::kPeakIndexMemoryBytes,
+               static_cast<int64_t>(rng.Uniform(1u << 24)));
+    for (int s = 0; s < kNumFunnelStages; ++s) {
+      const int64_t entered = static_cast<int64_t>(rng.Uniform(1000));
+      r.AddFunnel(static_cast<FunnelStage>(s), entered,
+                  static_cast<int64_t>(rng.Uniform(
+                      static_cast<uint64_t>(entered) + 1)));
+    }
+    locals.push_back(r);
   }
 
   Recorder in_order;
   for (const Recorder& r : locals) in_order.Merge(r);
   const std::string reference_json = in_order.ToJson();
 
-  // Shuffled fold orders — simulating 1/2/4/8-thread rank interleavings —
+  // Shuffled fold orders — simulating 1/2/4/8-thread interleavings —
   // must all produce the identical recorder and identical bytes.
   Rng shuffle_rng(7);
   for (int trial = 0; trial < 8; ++trial) {
@@ -237,7 +235,7 @@ TEST(RecorderTest, ToJsonContainsEveryRegistryMetric) {
         "\":{\"entered\":";
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
 }
 
 }  // namespace

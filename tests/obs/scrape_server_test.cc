@@ -88,12 +88,12 @@ TEST(ScrapeServerTest, UpdateMetricsIsVisibleToLaterScrapes) {
   EXPECT_NE(empty.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_EQ(BodyOf(empty), "");
 
-  server.UpdateMetrics("ujoin_waves_total 1\n");
+  server.UpdateMetrics("ujoin_probes_total 1\n");
   EXPECT_EQ(BodyOf(HttpGet(server.port(), "/metrics")),
-            "ujoin_waves_total 1\n");
-  server.UpdateMetrics("ujoin_waves_total 2\n");
+            "ujoin_probes_total 1\n");
+  server.UpdateMetrics("ujoin_probes_total 2\n");
   EXPECT_EQ(BodyOf(HttpGet(server.port(), "/metrics")),
-            "ujoin_waves_total 2\n");
+            "ujoin_probes_total 2\n");
   server.Stop();
 }
 

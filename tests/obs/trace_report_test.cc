@@ -131,7 +131,7 @@ TEST(RunReportTest, EnvelopeHasSchemaAndSections) {
       RenderRunReport("join", {{"options", R"({"k":2})"},
                                {"stats", R"({"pairs":5})"}});
   EXPECT_EQ(report,
-            R"({"schema":"ujoin.run_report","schema_version":2,)"
+            R"({"schema":"ujoin.run_report","schema_version":3,)"
             R"("command":"join",)"
             R"("options":{"k":2},"stats":{"pairs":5}})");
 }

@@ -74,7 +74,9 @@ TEST_F(WatchdogTest, FlatThresholdCoversDeadlinelessWork) {
   options.stall_ns = 5000;
   watchdog_.Configure(options);
 
-  recorder_->RecordEvent(FlightEvent::kWaveStart, /*wave=*/3, /*size=*/100);
+  // A self-join probe: no deadline, length band 3.
+  recorder_->RecordEvent(FlightEvent::kQueryBegin, /*deadline_ns=*/0,
+                         /*band=*/3);
   const int64_t begin = BeginNs();
   watchdog_.ScanOnce(begin + 5000);
   EXPECT_EQ(watchdog_.captures(), 0);
@@ -89,7 +91,7 @@ TEST_F(WatchdogTest, FlatThresholdCoversDeadlinelessWork) {
 
 TEST_F(WatchdogTest, ZeroFlatThresholdNeverFlagsDeadlinelessWork) {
   watchdog_.Configure(WatchdogOptions{});  // stall_ns = 0
-  recorder_->RecordEvent(FlightEvent::kWaveStart, 0, 10);
+  recorder_->RecordEvent(FlightEvent::kQueryBegin, /*deadline_ns=*/0, 10);
   watchdog_.ScanOnce(BeginNs() + 1'000'000'000'000);
   EXPECT_EQ(watchdog_.captures(), 0);
 }

@@ -6,8 +6,11 @@
 #   2. checks the join's verification contract: `join` and `join --exact`
 #      print the same pair set, and every "(lower bound)" probability of the
 #      default join is at most the exact one;
-#   3. checks that the removed `join --early-stop` flag is rejected (exit 2);
-#   4. checks that a batch `search --input --queries --metrics-out` report
+#   3. checks that `join --threads=1` and `--threads=4` write byte-identical
+#      pair files;
+#   4. checks that the removed `join --early-stop` and `--wave-size` flags
+#      are rejected (exit 2);
+#   5. checks that a batch `search --input --queries --metrics-out` report
 #      carries the index it built (peak memory and build time above 0).
 #
 # Usage: tools/cli_smoke.sh [build_dir]
@@ -35,7 +38,7 @@ import json, sys
 
 report = json.load(open(sys.argv[1]))
 assert report["schema"] == "ujoin.run_report", report.get("schema")
-assert report["schema_version"] == 2
+assert report["schema_version"] == 3
 assert report["command"] == "join"
 for key in ("options", "stats", "metrics"):
     assert key in report, f"run report missing section '{key}'"
@@ -56,7 +59,7 @@ trace = json.load(open(sys.argv[2]))
 events = trace["traceEvents"]
 assert events, "trace has no events"
 spans = {e["name"] for e in events if e["ph"] == "X"}
-for name in ("index_insert", "wave_probe", "probe", "wave_merge"):
+for name in ("index_insert", "freq_summaries", "probe", "qgram_probe"):
     assert name in spans, f"trace missing span '{name}'"
 # Metadata ("M") events carry no timestamp; complete ("X") events must.
 assert all({"ph", "pid"} <= e.keys() for e in events)
@@ -92,15 +95,25 @@ for pair, p in bounds:
 print(f"{len(default)} pairs agree; {len(bounds)} lower bounds <= exact")
 PYEOF
 
-echo "--- removed flag --early-stop is rejected"
-rc=0
-"$CLI" join --input="$DIR/data.txt" --kind=names --early-stop \
-  --out=/dev/null >/dev/null 2>&1 || rc=$?
-if [[ "$rc" -ne 2 ]]; then
-  echo "FAIL: join --early-stop exited $rc, want 2" >&2
-  exit 1
-fi
-echo "join --early-stop exits 2"
+echo "--- thread count does not change the pair file"
+for threads in 1 4; do
+  "$CLI" join --input="$DIR/data.txt" --kind=names --k=2 --tau=0.1 \
+    --threads="$threads" --out="$DIR/pairs_t$threads.txt" >/dev/null 2>&1
+done
+cmp "$DIR/pairs_t1.txt" "$DIR/pairs_t4.txt"
+echo "join --threads=1 and --threads=4 write identical pairs"
+
+for flag in --early-stop --wave-size=8; do
+  echo "--- removed flag $flag is rejected"
+  rc=0
+  "$CLI" join --input="$DIR/data.txt" --kind=names "$flag" \
+    --out=/dev/null >/dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "FAIL: join $flag exited $rc, want 2" >&2
+    exit 1
+  fi
+  echo "join $flag exits 2"
+done
 
 echo "--- batch search reports its index"
 # Same generator seed, at most two uncertain positions: near-duplicates of

@@ -6,7 +6,7 @@
 #      holding, and validates the page with tools/validate.py;
 #   2. shuts the held process down with SIGINT and checks a clean exit;
 #   3. re-runs the join with --trace-sample=N and asserts the sampled trace
-#      keeps every driver/wave span, records the sampling rate in its
+#      keeps every driver span, records the sampling rate in its
 #      metadata, and carries roughly N-fold fewer probe spans than an
 #      unsampled trace of the same run.
 #
@@ -122,9 +122,9 @@ for trace in (full, sampled):
     assert all({"ph", "pid"} <= e.keys() for e in trace["traceEvents"])
     assert all({"ts", "dur", "tid"} <= e.keys()
                for e in trace["traceEvents"] if e["ph"] == "X")
-    # Driver/wave spans survive sampling.
+    # Driver spans survive sampling.
     spans = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
-    for name in ("index_insert", "wave_probe", "wave_merge"):
+    for name in ("index_insert", "freq_summaries"):
         assert name in spans, f"missing span '{name}'"
 
 meta_full = full["metadata"]

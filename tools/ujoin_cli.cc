@@ -7,7 +7,7 @@
 //              [--gamma=5] [--seed=42] [--max-uncertain=0] --out=FILE
 //   ujoin_cli join --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] [--variant=QFCT|QCT|QFT|FCT] [--exact]
-//              [--threads=1] [--wave-size=0] [--out=FILE]
+//              [--threads=1] [--out=FILE]
 //              [--metrics-out=FILE] [--trace-out=FILE] [--trace-sample=N]
 //              [--prom-out=FILE] [--listen=PORT] [--listen-hold] [--progress]
 //              [--flight-record[=FILE]] [--watchdog-ms=N]
@@ -16,7 +16,7 @@
 //               lower bound marked "(lower bound)", unless --exact asks for
 //               exact probabilities.  The pair set is the same either way.
 //               --threads=0 uses all cores; results are identical for
-//               every thread count and wave size)
+//               every thread count)
 //   ujoin_cli index --input=FILE --kind=names|protein [--k=2] [--tau=0.1]
 //              [--q=3] --out=FILE.idx
 //   ujoin_cli search (--input=FILE | --index=FILE.idx) --kind=names|protein
@@ -76,7 +76,7 @@
 //                       (reason "manual") at orderly exit.  The document is
 //                       versioned ujoin.flight_record JSON; check it with
 //                       tools/validate.py.
-//   --watchdog-ms=N     starts a stall watchdog: a query/wave running past
+//   --watchdog-ms=N     starts a stall watchdog: a query/probe running past
 //                       4x its own deadline (or past N ms when it has no
 //                       deadline) is captured as a stall report — length
 //                       band, funnel position, verify-world estimate,
@@ -90,8 +90,8 @@
 //                       obs metric registry (counters/gauges/histograms).
 //   --trace-out=FILE    writes per-stage spans as Chrome trace-event JSON;
 //                       load it in chrome://tracing or https://ui.perfetto.dev.
-//   --trace-sample=N    keeps the spans of 1-in-N probes/queries (driver and
-//                       wave spans are always kept).  The decision is a pure
+//   --trace-sample=N    keeps the spans of 1-in-N probes/queries (driver
+//                       spans are always kept).  The decision is a pure
 //                       function of a fixed seed and the probe index, so
 //                       sampled traces are reproducible and thread-count
 //                       invariant; the rate is recorded in trace metadata.
@@ -100,12 +100,12 @@
 //                       collector).
 //   --listen=PORT       serves /metrics (Prometheus text) and /healthz on
 //                       127.0.0.1:PORT from a background thread; snapshots
-//                       refresh at wave boundaries, so scrapes never touch
-//                       live per-rank state.  PORT 0 picks a free port; the
-//                       bound port is printed to stderr.
+//                       refresh at the join's progress points, so scrapes
+//                       never touch live per-probe state.  PORT 0 picks a
+//                       free port; the bound port is printed to stderr.
 //   --listen-hold       after the run completes, keep serving until
 //                       SIGINT/SIGTERM (for scrape-interval demos).
-//   --progress          prints wave-boundary progress lines to stderr.
+//   --progress          prints progress lines to stderr.
 
 #include <unistd.h>
 
@@ -354,7 +354,7 @@ int FinishQueryLog(const std::string& path, obs::QueryLog* log) {
 
 // Starts the scrape endpoint when --listen was given; 0 on success.  The
 // initial snapshot is the (all-zero) recorder so /metrics is well-formed
-// before the first wave completes.
+// before the first progress point.
 int StartObsServer(ObsOutputs& obs_out) {
   if (obs_out.listen_port < 0) return 0;
   obs_out.server.UpdateMetrics(obs::RenderPrometheusText(obs_out.recorder));
@@ -390,9 +390,10 @@ struct ProgressState {
 };
 
 // Join progress hook state: optional stderr lines plus live /metrics
-// refreshes.  Wave boundaries are the only points where the merged recorder
-// is quiescent, which is why the snapshot is rendered here (on the driver
-// thread) and pushed to the serving thread as finished bytes.
+// refreshes.  Progress points are where the merged recorder is quiescent
+// (only the driver thread folds into it), which is why the snapshot is
+// rendered here, on the driver thread, and pushed to the serving thread as
+// finished bytes.
 struct JoinProgressState {
   ProgressState print_state;
   bool print = false;
@@ -439,8 +440,6 @@ std::string OptionsJson(const JoinOptions& options) {
   AppendJoinOptionsFields(options, &w);
   w.Key("threads");
   w.Int(options.threads);
-  w.Key("wave_size");
-  w.Int(options.wave_size);
   w.EndObject();
   return w.TakeString();
 }
@@ -551,7 +550,6 @@ int RunJoin(Flags& flags) {
   }
   options.always_verify = flags.GetBool("exact");
   options.threads = flags.GetInt("threads", 1);
-  options.wave_size = flags.GetInt("wave-size", 0);
   const std::string out_path = flags.GetString("out");
   ObsOutputs obs_out;
   ReadObsFlags(flags, /*with_progress=*/true, &obs_out);

@@ -1072,15 +1072,21 @@ CONTRACTS = [
         "forbid": ["alloc", "lock", "io", "block"],
         "allow_nodes": [
             # Driver-level setup and result emission: vectors sized to the
-            # batch/wave before the steady-state loop, hit emission after.
+            # batch before the steady-state loop, hit emission after.
             "ujoin::SimilaritySelfJoin",
             "SimilaritySearcher::Search",
             "SimilaritySearcher::SearchTopK",
             "SimilaritySearcher::SearchMany",
             "SimilaritySearcher::SearchImpl",
             "SimilaritySearcher::Explain",
-            # Worker fan-out joins its pool; bounded by the wave's work.
-            "ujoin::RunWaveTasks",
+            # The ordered pool both drivers run on: it starts and joins its
+            # workers once per batch, and hands positions and their outcomes
+            # over under one mutex (a few lock operations per probe).
+            "internal::OrderedPool::StartWorkers",
+            "internal::OrderedPool::StopWorkers",
+            "internal::OrderedPool::Release",
+            "internal::OrderedPool::Drain",
+            "internal::OrderedPool::WorkerLoop",
             # Workspace growth: allocates until warm, then reuses.
             "FlatProbeSets::Reset",
             "ujoin::BuildProbeSet",
@@ -1094,8 +1100,8 @@ CONTRACTS = [
             # The self-join root spans both phases; phase 1 builds the index
             # (postings, partitions, world enumeration all allocate).
             "InvertedSegmentIndex::Insert",
-            # Batch-boundary log flush: SearchMany flushes the query log
-            # once per batch, outside the per-query steady state.
+            # Query-log writes: SearchMany's fold writes each query's
+            # record on the calling thread, outside the probes themselves.
             "obs::QueryLog::Write",
             # Error construction allocates the message string; error paths
             # are not steady state.

@@ -37,7 +37,7 @@ rejected.  Checks per schema:
                  cdf_bound passed, candidates == qgram survivors;
                  non-negative integer counts; status "ok" or "error", and
                  error records report no hits.
-  flight_record  the exact top-level key order; schema_version 2; reason
+  flight_record  the exact top-level key order; schema_version 3; reason
                  "manual", "crash" or "watchdog", and only "crash" carries
                  a delivering signal; a non-empty build.compiler; the
                  registry lists every event kind in registry order with
@@ -448,9 +448,9 @@ EVENT_KEYS = ["seq", "ts_ns", "kind", "a", "b"]
 # FlightEvent registry order (src/obs/flight_recorder.cc
 # kFlightEventNames); the dump spells the registry in exactly this order.
 EVENT_KINDS = [
-    "wave_start", "wave_end", "probe_begin", "funnel_stage", "verify_begin",
-    "query_begin", "query_end", "batch_boundary", "conn_open", "conn_close",
-    "conn_idle_close", "serve_query", "stall_captured",
+    "probe_begin", "funnel_stage", "verify_begin", "query_begin", "query_end",
+    "batch_boundary", "conn_open", "conn_close", "conn_idle_close",
+    "serve_query", "stall_captured",
 ]
 REASONS = ("manual", "crash", "watchdog")
 
@@ -528,8 +528,8 @@ def validate_flight_record(text: str) -> tuple[list[str], str]:
     if rec["schema"] != "ujoin.flight_record":
         errors.append(f"schema: expected 'ujoin.flight_record', "
                       f"got {rec['schema']!r}")
-    if rec["schema_version"] != 2:
-        errors.append(f"schema_version: expected 2, "
+    if rec["schema_version"] != 3:
+        errors.append(f"schema_version: expected 3, "
                       f"got {rec['schema_version']!r}")
 
     reason = rec["reason"]
@@ -758,30 +758,29 @@ def _query_log_cases() -> list[tuple[str, str, str | None]]:
 def _good_flight_record() -> dict:
     return {
         "schema": "ujoin.flight_record",
-        "schema_version": 2,
+        "schema_version": 3,
         "reason": "manual",
         "signal": 0,
         "build": {"compiler": "12.2.0"},
         "dropped_events": 0,
         "threads_registered": 2,
         "registry": {
-            "wave_start": 2, "wave_end": 2, "probe_begin": 3,
-            "funnel_stage": 0, "verify_begin": 1, "query_begin": 0,
-            "query_end": 0, "batch_boundary": 0, "conn_open": 0,
-            "conn_close": 0, "conn_idle_close": 0, "serve_query": 0,
-            "stall_captured": 0,
+            "probe_begin": 3, "funnel_stage": 0, "verify_begin": 1,
+            "query_begin": 1, "query_end": 1, "batch_boundary": 0,
+            "conn_open": 0, "conn_close": 0, "conn_idle_close": 0,
+            "serve_query": 0, "stall_captured": 0,
         },
         "threads": [
             {
                 "slot": 0, "os_tid": 4242, "recorded": 4,
                 "events": [
-                    {"seq": 1, "ts_ns": 10, "kind": "wave_start",
+                    {"seq": 1, "ts_ns": 10, "kind": "query_begin",
                      "a": 0, "b": 2},
                     {"seq": 2, "ts_ns": 20, "kind": "probe_begin",
                      "a": 0, "b": 0},
                     {"seq": 3, "ts_ns": 30, "kind": "verify_begin",
                      "a": 64, "b": 0},
-                    {"seq": 4, "ts_ns": 40, "kind": "wave_end",
+                    {"seq": 4, "ts_ns": 40, "kind": "query_end",
                      "a": 0, "b": 0},
                 ],
             },
@@ -811,8 +810,8 @@ def _flight_record_cases() -> list[tuple[str, str, str | None]]:
 
     case("wrong schema", "schema: expected 'ujoin.flight_record'",
          lambda d: d.update(schema="ujoin.query_log"))
-    case("old schema version", "schema_version: expected 2",
-         lambda d: d.update(schema_version=1))
+    case("old schema version", "schema_version: expected 3",
+         lambda d: d.update(schema_version=2))
     case("unknown reason", "reason: expected one of",
          lambda d: d.update(reason="panic"))
     case("crash without signal", "crash record without a delivering signal",
@@ -849,7 +848,7 @@ def _flight_record_cases() -> list[tuple[str, str, str | None]]:
     wrapped = [
         {"seq": 480, "ts_ns": 100, "kind": "probe_begin", "a": 0, "b": 0},
         {"seq": 482, "ts_ns": 110, "kind": "verify_begin", "a": 8, "b": 0},
-        {"seq": 500, "ts_ns": 120, "kind": "wave_end", "a": 0, "b": 0},
+        {"seq": 500, "ts_ns": 120, "kind": "query_end", "a": 0, "b": 0},
     ]
     case("wrapped ring with gaps", None,
          lambda d: d["threads"][0].update(recorded=500, events=wrapped))
